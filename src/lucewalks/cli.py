@@ -522,15 +522,18 @@ def _write_manifest(argv, seed, tolerances, exit_code, t0, threads):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    t0 = time.time()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        _write_manifest(argv, None, {}, 1, t0, 1)
         return 1
     except SystemExit as e:  # --help / --version
-        return 0 if (e.code or 0) == 0 else 1
-    t0 = time.time()
+        code = 0 if (e.code or 0) == 0 else 1
+        _write_manifest(argv, None, {}, code, t0, 1)
+        return code
     seed = _resolve_seed(args)
     print(f"seed: {seed}", file=sys.stderr)
     rng = RngStream(seed)

@@ -9,8 +9,8 @@ draw order is a random permutation sigma with
 
 sigma(1) is always the first label drawn.  The same distribution arises by
 attaching independent Exponential(theta_i) clocks to the labels and sorting
-them in increasing order, which is the basis of the second sampler and of
-everything the topk/bottomk modules compute.
+them in increasing order.  Every sampler here draws orders by that race,
+and the topk/bottomk modules compute with it.
 
 Weights are accepted unnormalized everywhere; when an operation needs a
 probability vector, normalization is the caller's explicit step.
@@ -45,9 +45,6 @@ __all__ = [
     "all_permutations",
     "permutation_rank_many",
 ]
-
-# above this size single draws switch from linear scans to a prefix-sum tree
-URN_SCAN_MAX = 10_000
 
 
 class WeightVector:
@@ -232,69 +229,25 @@ def sample_urn_many(w, size, rng, method="auto"):
     """Draw ``size`` independent permutations by sequential urn draws.
 
     Returns an (size, n) int64 array of 1-based labels in draw order.
-    ``method`` is ``auto`` (linear scans up to n = 10_000, prefix-sum tree
-    above), ``scan``, or ``tree``.
+    Every ``method`` (``auto``, ``scan`` or ``tree``) runs the exponential
+    race, which has exactly the urn's law; the names are kept as aliases.
     """
     w = as_weight_vector(w)
     if size < 0:
         raise PreconditionError("size must be nonnegative")
+    if method not in ("auto", "scan", "tree"):
+        raise PreconditionError(f"unknown method {method!r}")
     if size == 0:
         return np.empty((0, w.n), dtype=np.int64)
-    if method == "auto":
-        method = "scan" if w.n <= URN_SCAN_MAX else "tree"
-    if method == "scan":
-        uniforms = rng.random((size, w.n))
-        return kernels.weighted_order_many(w.weights, uniforms) + 1
+    uniforms = rng.random((size, w.n))
     if method == "tree":
-        out = np.empty((size, w.n), dtype=np.int64)
-        for s in range(size):
-            out[s] = _urn_order_tree(w.weights, rng)
-        return out + 1
-    raise PreconditionError(f"unknown method {method!r}")
+        return kernels._race_order(w.weights, uniforms) + 1
+    return kernels.weighted_order_many(w.weights, uniforms) + 1
 
 
 def sample_urn(w, rng, method="auto"):
     """One permutation from the urn scheme."""
     return Permutation(sample_urn_many(w, 1, rng, method=method)[0])
-
-
-def _urn_order_tree(weights, rng):
-    """One draw order via a Fenwick tree of remaining weights, O(n log n)."""
-    n = weights.size
-    tree = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        tree[i] += weights[i - 1]
-        parent = i + (i & -i)
-        if parent <= n:
-            tree[parent] += tree[i]
-    total = float(weights.sum())
-    remaining = weights.copy()
-    top_bit = 1 << (n.bit_length() - 1)
-    order = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        r = rng.random() * total
-        # descend the tree to the first index whose prefix sum exceeds r
-        idx = 0
-        bit = top_bit
-        acc = 0.0
-        while bit:
-            nxt = idx + bit
-            if nxt <= n and acc + tree[nxt] <= r:
-                idx = nxt
-                acc += tree[nxt]
-            bit >>= 1
-        idx = min(idx, n - 1)  # r at or beyond the grand total
-        while remaining[idx] <= 0.0:  # numerical edge: step back to a live label
-            idx -= 1
-        order[j] = idx
-        delta = remaining[idx]
-        remaining[idx] = 0.0
-        total -= delta
-        i = idx + 1
-        while i <= n:
-            tree[i] -= delta
-            i += i & -i
-    return order
 
 
 def sample_exponential_many(w, size, rng):
@@ -308,10 +261,7 @@ def sample_exponential_many(w, size, rng):
         raise PreconditionError("size must be nonnegative")
     if size == 0:
         return np.empty((0, w.n), dtype=np.int64)
-    u = rng.random((size, w.n))
-    with np.errstate(divide="ignore"):
-        x = -np.log(u) / w.weights[None, :]
-    return np.argsort(x, axis=1, kind="stable").astype(np.int64) + 1
+    return kernels._race_order(w.weights, rng.random((size, w.n))) + 1
 
 
 def sample_exponential(w, rng):

@@ -1,55 +1,39 @@
-"""Hot sampling kernels: numba-compiled loops with a pure-numpy fallback.
-
-Backend selection happens once at import time.  Set ``LUCEWALKS_NUMBA=0`` to
-force the numpy fallback, ``LUCEWALKS_NUMBA=1`` to require numba; by default
-numba is used when importable.  Both backends consume the supplied uniform
-variates in exactly the same order with exactly the same arithmetic, so
-switching backends changes speed, never output.
+"""Hot sampling kernels, vectorized with numpy.
 
 The kernels are deliberately dumb about randomness: callers pass arrays of
 uniforms drawn from an RngStream, which keeps all stream handling in one
-place and makes the two backends trivially comparable.
+place.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-def _backend_choice():
-    flag = os.environ.get("LUCEWALKS_NUMBA", "").strip().lower()
-    if flag in {"0", "false", "off", "no"}:
-        return "numpy"
-    if flag in {"1", "true", "on", "yes"}:
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("LUCEWALKS_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _backend_choice()
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # weighted order sampling (sequential draws without replacement)
 # ---------------------------------------------------------------------------
 
-def weighted_order_many_numpy(weights, uniforms):
+def _race_order(weights, uniforms):
+    """Exponential race: stable ascending sort of ``-log(U) / w`` per row.
+
+    Independent Exponential(w_i) clocks ring in the order of sequential
+    weighted draws without replacement, so each row is a draw order.  ``U = 0``
+    gives an infinite clock; ties go to the smaller index.
+    """
+    with np.errstate(divide="ignore"):
+        clocks = -np.log(uniforms) / weights
+    return np.argsort(clocks, axis=1, kind="stable").astype(np.int64, copy=False)
+
+
+def weighted_order_many(weights, uniforms):
     """Draw complete without-replacement orders, vectorized across samples.
 
     Parameters
     ----------
     weights : (n,) float64, strictly positive
     uniforms : (n_samples, n) float64 in [0, 1)
-        One uniform per draw position, consumed left to right.
+        One uniform per item: its exponential clock is ``-log(U_i) / w_i``.
 
     Returns
     -------
@@ -58,81 +42,17 @@ def weighted_order_many_numpy(weights, uniforms):
     """
     w = np.asarray(weights, dtype=np.float64)
     u = np.asarray(uniforms, dtype=np.float64)
-    n_samples, n = u.shape
+    _, n = u.shape
     if w.shape != (n,):
         raise ValueError("weights and uniforms disagree on n")
-    remaining = np.repeat(w[None, :], n_samples, axis=0)
-    orders = np.empty((n_samples, n), dtype=np.int64)
-    rows = np.arange(n_samples)
-    for j in range(n):
-        # cumsum is a sequential left-to-right prefix sum, the same operation
-        # the numba loop performs, so both backends see identical floats
-        cum = np.cumsum(remaining, axis=1)
-        r = u[:, j] * cum[:, -1]
-        idx = np.sum(cum <= r[:, None], axis=1)
-        over = idx >= n
-        if np.any(over):
-            # u rounded r up to the full total; fall back to last positive weight
-            last_pos = n - 1 - np.argmax((remaining > 0.0)[:, ::-1], axis=1)
-            idx = np.where(over, last_pos, idx)
-        orders[:, j] = idx
-        remaining[rows, idx] = 0.0
-    return orders
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _weighted_order_many_jit(w, u):
-        n_samples, n = u.shape
-        orders = np.empty((n_samples, n), dtype=np.int64)
-        rem = np.empty(n, dtype=np.float64)
-        for s in range(n_samples):
-            for i in range(n):
-                rem[i] = w[i]
-            for j in range(n):
-                total = 0.0
-                for i in range(n):
-                    total += rem[i]
-                r = u[s, j] * total
-                chosen = -1
-                c = 0.0
-                for i in range(n):
-                    c += rem[i]
-                    if c > r:
-                        chosen = i
-                        break
-                if chosen < 0:
-                    for i in range(n - 1, -1, -1):
-                        if rem[i] > 0.0:
-                            chosen = i
-                            break
-                orders[s, j] = chosen
-                rem[chosen] = 0.0
-        return orders
-
-    def weighted_order_many_numba(weights, uniforms):
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        u = np.ascontiguousarray(uniforms, dtype=np.float64)
-        if w.shape != (u.shape[1],):
-            raise ValueError("weights and uniforms disagree on n")
-        return _weighted_order_many_jit(w, u)
-
-else:  # pragma: no cover
-    weighted_order_many_numba = None
-
-
-def weighted_order_many(weights, uniforms):
-    if BACKEND == "numba":
-        return weighted_order_many_numba(weights, uniforms)
-    return weighted_order_many_numpy(weights, uniforms)
+    return _race_order(w, u)
 
 
 # ---------------------------------------------------------------------------
 # reverse-order face projection chains (Boolean arrangement)
 # ---------------------------------------------------------------------------
 
-def apply_boolean_reverse_numpy(face_entries, orders, reference):
+def apply_boolean_reverse(face_entries, orders, reference):
     """Apply Boolean face projections in reverse draw order.
 
     Parameters
@@ -156,44 +76,11 @@ def apply_boolean_reverse_numpy(face_entries, orders, reference):
     return out
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _apply_boolean_reverse_jit(entries, orders, ref):
-        n_samples, m = orders.shape
-        d = ref.shape[0]
-        out = np.empty((n_samples, d), dtype=np.int8)
-        for s in range(n_samples):
-            for i in range(d):
-                out[s, i] = ref[i]
-            for t in range(m - 1, -1, -1):
-                f = orders[s, t]
-                for i in range(d):
-                    if entries[f, i] != 0:
-                        out[s, i] = entries[f, i]
-        return out
-
-    def apply_boolean_reverse_numba(face_entries, orders, reference):
-        entries = np.ascontiguousarray(face_entries, dtype=np.int8)
-        orders = np.ascontiguousarray(orders, dtype=np.int64)
-        ref = np.ascontiguousarray(reference, dtype=np.int8)
-        return _apply_boolean_reverse_jit(entries, orders, ref)
-
-else:  # pragma: no cover
-    apply_boolean_reverse_numba = None
-
-
-def apply_boolean_reverse(face_entries, orders, reference):
-    if BACKEND == "numba":
-        return apply_boolean_reverse_numba(face_entries, orders, reference)
-    return apply_boolean_reverse_numpy(face_entries, orders, reference)
-
-
 # ---------------------------------------------------------------------------
 # reverse-order face projection chains (braid arrangement)
 # ---------------------------------------------------------------------------
 
-def apply_braid_reverse_numpy(face_block_ids, orders, reference_order):
+def apply_braid_reverse(face_block_ids, orders, reference_order):
     """Apply braid face projections in reverse draw order.
 
     Parameters
@@ -218,59 +105,3 @@ def apply_braid_reverse_numpy(face_block_ids, orders, reference_order):
         srt = np.argsort(key, axis=1, kind="stable")
         out = np.take_along_axis(out, srt, axis=1)
     return out
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _apply_braid_reverse_jit(block_ids, n_blocks, orders, ref):
-        n_samples, m = orders.shape
-        n = ref.shape[0]
-        out = np.empty((n_samples, n), dtype=np.int64)
-        nxt = np.empty(n, dtype=np.int64)
-        for s in range(n_samples):
-            for p in range(n):
-                out[s, p] = ref[p]
-            for t in range(m - 1, -1, -1):
-                f = orders[s, t]
-                pos = 0
-                for b in range(n_blocks[f]):
-                    for p in range(n):
-                        lab = out[s, p]
-                        if block_ids[f, lab] == b:
-                            nxt[pos] = lab
-                            pos += 1
-                for p in range(n):
-                    out[s, p] = nxt[p]
-        return out
-
-    def apply_braid_reverse_numba(face_block_ids, orders, reference_order):
-        block_ids = np.ascontiguousarray(face_block_ids, dtype=np.int64)
-        orders = np.ascontiguousarray(orders, dtype=np.int64)
-        ref = np.ascontiguousarray(reference_order, dtype=np.int64)
-        n_blocks = block_ids.max(axis=1) + 1
-        return _apply_braid_reverse_jit(block_ids, n_blocks, orders, ref)
-
-else:  # pragma: no cover
-    apply_braid_reverse_numba = None
-
-
-def apply_braid_reverse(face_block_ids, orders, reference_order):
-    if BACKEND == "numba":
-        return apply_braid_reverse_numba(face_block_ids, orders, reference_order)
-    return apply_braid_reverse_numpy(face_block_ids, orders, reference_order)
-
-
-def warm_up():
-    """Trigger jit compilation of all kernels (no-op on the numpy backend)."""
-    if BACKEND != "numba":
-        return
-    w = np.array([2.0, 1.0])
-    u = np.full((1, 2), 0.25)
-    weighted_order_many(w, u)
-    apply_boolean_reverse(np.array([[1, 0], [0, -1]], dtype=np.int8),
-                          np.array([[0, 1]], dtype=np.int64),
-                          np.array([1, 1], dtype=np.int8))
-    apply_braid_reverse(np.array([[0, 1], [0, 0]], dtype=np.int64),
-                        np.array([[0, 1]], dtype=np.int64),
-                        np.array([0, 1], dtype=np.int64))

@@ -26,7 +26,6 @@ __all__ = [
     "prefix_prob_p",
     "prefix_prob_q",
     "d_inf_exact",
-    "d_inf_exact_bruteforce",
     "d_inf_bound",
     "elementary_symmetric",
     "tv_exact",
@@ -98,23 +97,6 @@ def d_inf_exact(w, k):
     heaviest = np.sort(w.weights)[::-1][: k - 1]
     partial = np.cumsum(heaviest)
     return 1.0 - float(np.prod(1.0 - partial))
-
-
-def d_inf_exact_bruteforce(w, k, n_max=10):
-    """Enumeration cross-check of :func:`d_inf_exact` for small n."""
-    import itertools
-
-    w = as_weight_vector(w)
-    _require_normalized(w)
-    if w.n > n_max:
-        raise PreconditionError(f"enumeration limited to n <= {n_max}")
-    if not 1 <= k <= w.n:
-        raise PreconditionError(f"k must be in 1..{w.n}")
-    best = 0.0
-    for pref in itertools.permutations(range(w.n), k):
-        partial = np.cumsum(w.weights[list(pref)])
-        best = max(best, 1.0 - float(np.prod(1.0 - partial[:-1])))
-    return best
 
 
 def d_inf_bound(w, k):

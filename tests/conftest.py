@@ -48,3 +48,29 @@ def child_env():
     ]
     env["PYTHONPATH"] = os.pathsep.join([package_root, *entries])
     return env
+
+
+def _sequential_urn(weights, size, gen):
+    """Reference urn: draw labels one at a time, each with probability
+    proportional to its weight among the labels still in the urn.
+
+    Returns a (size, n) int64 array of 0-based labels in draw order.
+    """
+    w = [float(x) for x in weights]
+    out = np.empty((size, len(w)), dtype=np.int64)
+    for s in range(size):
+        left = list(range(len(w)))
+        for j in range(len(w)):
+            r = gen.random() * sum(w[i] for i in left)
+            k = 0
+            while k < len(left) - 1 and r >= w[left[k]]:
+                r -= w[left[k]]
+                k += 1
+            out[s, j] = left.pop(k)
+    return out
+
+
+@pytest.fixture
+def sequential_urn():
+    """The sequential urn sampler, the oracle for every order sampler."""
+    return _sequential_urn

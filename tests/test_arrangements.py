@@ -440,6 +440,15 @@ class TestUrnSamplerTheorem:
         tv = 0.5 * np.abs(hist / hist.sum() - expected).sum()
         assert tv <= 0.01
 
+    def test_face_urn_chi_square_n4(self):
+        # the last face applied is the first drawn, so a Tsetlin sample lists
+        # the labels in the draw order of their faces: the face urn itself
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        rows = brown_diaconis_sample_many(tsetlin_face_weights(w), 200_000, RngStream(43))
+        counts = empirical_braid_hist(rows, 4)
+        expected = np.array([luce_pmf(w, p) for p in all_permutations(4)]) * rows.shape[0]
+        assert scipy.stats.chisquare(counts, expected).pvalue >= 0.001
+
     def test_boolean_ehrenfest(self):
         table = ehrenfest_face_weights(3)
         rows = brown_diaconis_sample_many(table, 100_000, RngStream(29))

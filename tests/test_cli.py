@@ -295,6 +295,21 @@ class TestManifestAndSeed:
         assert doc["argv"][0] == "pmf"
         assert "version" in doc and "duration_s" in doc and "tolerances" in doc
 
+    def test_manifest_on_usage_error(self, run, tmp_path):
+        code, out, _ = run("sample", "--weights", "[1,2,3]", "--seed", "5")
+        assert code == 1
+        assert out == ""
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 1
+        assert doc["seed"] is None
+        assert doc["tolerances"] == {}
+
+    def test_manifest_on_version_exit(self, run, tmp_path):
+        assert run("--version")[0] == 0
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 0
+        assert doc["seed"] is None
+
     def test_manifest_on_failure(self, run, tmp_path):
         code, _, _ = run("topk", "--weights", "[0.6,0.2,0.2]", "--k", "2")
         assert code == 3

@@ -267,9 +267,36 @@ class TestSamplers:
         sorted_rows = np.sort(out, axis=1)
         np.testing.assert_array_equal(sorted_rows, np.tile(np.arange(1, 31), (50, 1)))
 
+    @pytest.mark.parametrize("method,seed", [("auto", 17), ("scan", 19), ("tree", 23)])
+    def test_chi_square_n4_every_method(self, method, seed):
+        n = 4
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        out = sample_urn_many(w, 200_000, RngStream(seed), method=method)
+        counts = empirical_counts(out, n)
+        expected = exact_pmf_vector(w, n) * out.shape[0]
+        assert scipy.stats.chisquare(counts, expected).pvalue >= 0.001
+
     def test_method_validation(self, rng):
         with pytest.raises(PreconditionError):
             sample_urn_many([1.0, 2.0], 1, rng, method="magic")
+
+
+class TestUrnOracle:
+    """The sequential urn in conftest is the reference law for the race."""
+
+    W = np.array([0.4, 0.3, 0.2, 0.1])
+
+    def test_oracle_matches_pmf(self, sequential_urn):
+        out = sequential_urn(self.W, 20_000, RngStream(47).generator) + 1
+        counts = empirical_counts(out, 4)
+        expected = exact_pmf_vector(self.W, 4) * out.shape[0]
+        assert scipy.stats.chisquare(counts, expected).pvalue >= 0.001
+
+    def test_race_matches_oracle(self, sequential_urn):
+        race = sample_urn_many(self.W, 20_000, RngStream(53))
+        urn = sequential_urn(self.W, 20_000, RngStream(59).generator) + 1
+        table = np.vstack([empirical_counts(race, 4), empirical_counts(urn, 4)])
+        assert scipy.stats.chi2_contingency(table).pvalue >= 0.001
 
 
 class TheoremSpacingScaling:

@@ -1,8 +1,7 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree bit for bit."""
+"""Array kernels: the exponential-race order sampler and reverse face projection."""
 
-import subprocess
-import sys
-import textwrap
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,17 +15,10 @@ from lucewalks.arrangements import (
 )
 from lucewalks.kernels import (
     BACKEND,
-    NUMBA_AVAILABLE,
     apply_boolean_reverse,
-    apply_boolean_reverse_numpy,
     apply_braid_reverse,
-    apply_braid_reverse_numpy,
-    warm_up,
     weighted_order_many,
-    weighted_order_many_numpy,
 )
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
 
 
 def random_boolean_case(gen, m, d, size):
@@ -57,40 +49,9 @@ def random_braid_case(gen, m, n, size):
     return ids, orders, reference
 
 
-class TestBackendParity:
-    @needs_numba
-    def test_weighted_order(self, np_rng):
-        for n, size in ((1, 4), (3, 50), (8, 200)):
-            weights = np_rng.uniform(0.1, 5.0, size=n)
-            uniforms = np_rng.random((size, n))
-            a = weighted_order_many_numpy(weights, uniforms)
-            from lucewalks.kernels import weighted_order_many_numba
-
-            b = weighted_order_many_numba(weights, uniforms)
-            np.testing.assert_array_equal(a, b)
-
-    @needs_numba
-    def test_apply_boolean(self, np_rng):
-        from lucewalks.kernels import apply_boolean_reverse_numba
-
-        for m, d, size in ((1, 2, 10), (5, 4, 100), (9, 7, 50)):
-            entries, orders, reference = random_boolean_case(np_rng, m, d, size)
-            a = apply_boolean_reverse_numpy(entries, orders, reference)
-            b = apply_boolean_reverse_numba(entries, orders, reference)
-            np.testing.assert_array_equal(a, b)
-
-    @needs_numba
-    def test_apply_braid(self, np_rng):
-        from lucewalks.kernels import apply_braid_reverse_numba
-
-        for m, n, size in ((1, 3, 10), (4, 5, 100), (7, 6, 50)):
-            ids, orders, reference = random_braid_case(np_rng, m, n, size)
-            a = apply_braid_reverse_numpy(ids, orders, reference)
-            b = apply_braid_reverse_numba(ids, orders, reference)
-            np.testing.assert_array_equal(a, b)
-
-    def test_warm_up_runs(self):
-        warm_up()
+class TestBackend:
+    def test_module_reports_backend(self):
+        assert BACKEND == "numpy"
 
 
 class TestWeightedOrder:
@@ -107,14 +68,25 @@ class TestWeightedOrder:
         for row in out:
             assert sorted(row.tolist()) == [0, 1, 2]
 
+    def test_is_stable_argsort_of_clocks(self, np_rng):
+        weights = np_rng.uniform(0.1, 5.0, size=7)
+        weights[5] = weights[1]
+        u = np_rng.random((500, 7))
+        u[:50, 2:5] = 0.0  # infinite clocks tie
+        u[50:100, 5] = u[50:100, 1]  # equal finite clocks tie
+        with np.errstate(divide="ignore"):
+            expected = np.argsort(-np.log(u) / weights, axis=1, kind="stable")
+        np.testing.assert_array_equal(weighted_order_many(weights, u), expected)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            weighted_order_many(np.ones(3), np.full((2, 4), 0.5))
+
     def test_distribution_matches_pmf(self):
         # frequency of each draw order vs the model pmf
         weights = np.array([0.4, 0.3, 0.2, 0.1])
         gen = RngStream(101).generator
         out = weighted_order_many(weights, gen.random((200_000, 4)))
-        import itertools
-        import math
-
         keys = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
         counts = np.zeros(math.factorial(4))
         for row in out:
@@ -162,52 +134,3 @@ class TestApplyReverseOracle:
             ids, orders, reference = random_braid_case(np_rng, m, n, 40)
             got = apply_braid_reverse(ids, orders, reference)
             np.testing.assert_array_equal(got, braid_oracle(ids, orders, reference))
-
-
-_SUBPROCESS_SNIPPET = textwrap.dedent(
-    """
-    import numpy as np
-    from lucewalks import kernels
-    print(kernels.BACKEND)
-    w = np.array([0.7, 0.2, 0.6, 1.4])
-    u = np.random.default_rng(77).random((5, 4))
-    print(kernels.weighted_order_many(w, u).tolist())
-    ent = np.array([[1, 0, -1], [0, 1, 0]], dtype=np.int8)
-    orders = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    ref = np.array([-1, -1, 1], dtype=np.int8)
-    print(kernels.apply_boolean_reverse(ent, orders, ref).tolist())
-    """
-)
-
-
-def run_with_env(child_env, flag):
-    env = dict(child_env)
-    if flag is None:
-        env.pop("LUCEWALKS_NUMBA", None)
-    else:
-        env["LUCEWALKS_NUMBA"] = flag
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SNIPPET],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return proc.stdout.strip().splitlines()
-
-
-class TestEnvFlag:
-    def test_fallback_selected_and_identical(self, child_env):
-        fallback = run_with_env(child_env, "0")
-        assert fallback[0] == "numpy"
-        default = run_with_env(child_env, None)
-        assert default[1:] == fallback[1:]
-
-    @needs_numba
-    def test_numba_forced(self, child_env):
-        forced = run_with_env(child_env, "1")
-        assert forced[0] == "numba"
-        assert forced[1:] == run_with_env(child_env, "0")[1:]
-
-    def test_module_reports_backend(self):
-        assert BACKEND in ("numpy", "numba")

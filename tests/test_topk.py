@@ -24,7 +24,17 @@ from lucewalks import (
     tv_poisson_approx,
     tv_uniform_exact,
 )
-from lucewalks.topk import d_inf_exact_bruteforce
+
+
+def d_inf_exact_bruteforce(w, k):
+    """Enumeration cross-check of :func:`d_inf_exact`: the largest
+    1 - prod_{j<k} (1 - S_j) over every ordered k-prefix."""
+    w = np.asarray(w, dtype=np.float64)
+    best = 0.0
+    for pref in itertools.permutations(range(w.size), k):
+        partial = np.cumsum(w[list(pref)])
+        best = max(best, 1.0 - float(np.prod(1.0 - partial[:-1])))
+    return best
 
 
 def random_simplex(gen, n, cap=None):
