@@ -79,7 +79,8 @@ class WeightSequence:
         Scale parameter of the ``log`` family.
     """
 
-    __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache")
+    __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache",
+                 "_vectorized")
 
     def __init__(self, evaluator, *, monotone=False, tail_bound=None, family=None, beta=None):
         self._evaluator = evaluator
@@ -88,18 +89,36 @@ class WeightSequence:
         self.family = family
         self.beta = beta
         self._cache = np.empty(0, dtype=np.float64)
+        self._vectorized = False
+
+    @classmethod
+    def _builtin(cls, evaluator, family, beta=None):
+        """A built-in family whose evaluator maps a whole index array at once."""
+        seq = cls(evaluator, monotone=True, family=family, beta=beta)
+        seq._vectorized = True
+        return seq
 
     def thetas(self, n):
-        """Weights for indices 1..n as an array (cached)."""
-        if n > self._cache.size:
-            lo = self._cache.size
-            new = np.array([self._evaluator(i) for i in range(lo + 1, n + 1)], dtype=np.float64)
+        """Weights for indices 1..n as an array (cached).
+
+        The cache grows at least geometrically, so a run of ``theta(i)`` calls
+        for i = 1, 2, ... costs amortised O(1) each, and never past twice the
+        largest index asked for.
+        """
+        lo = self._cache.size
+        if n > lo:
+            hi = max(n, 2 * lo)
+            if self._vectorized:
+                new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
+                                 dtype=np.float64)
+            else:
+                new = np.array([self._evaluator(i) for i in range(lo + 1, hi + 1)],
+                               dtype=np.float64)
             if np.any(new <= 0.0) or not np.all(np.isfinite(new)):
                 raise PreconditionError("sequence weights must be strictly positive and finite")
-            merged = np.concatenate([self._cache, new])
-            if self.monotone and np.any(np.diff(merged) < -1e-12):
+            if self.monotone and np.any(np.diff(np.concatenate([self._cache[-1:], new])) < -1e-12):
                 raise PreconditionError("sequence declared monotone but weights decrease")
-            self._cache = merged
+            self._cache = np.concatenate([self._cache, new])
         return self._cache[:n]
 
     def theta(self, i):
@@ -114,20 +133,20 @@ class WeightSequence:
 
 def linear_weights():
     """theta_i = i."""
-    return WeightSequence(lambda i: float(i), monotone=True, family="linear")
+    return WeightSequence._builtin(lambda i: i, "linear")
 
 
 def constant_weights():
     """theta_i = 1 (the uniform urn; the reversed order never converges)."""
-    return WeightSequence(lambda i: 1.0, monotone=True, family="constant")
+    return WeightSequence._builtin(np.ones_like, "constant")
 
 
 def log_weights(beta=1.0):
     """theta_i = beta * log(i + 1)."""
     if beta <= 0:
         raise PreconditionError("beta must be positive")
-    return WeightSequence(lambda i: beta * math.log(i + 1), monotone=True,
-                          family="log", beta=float(beta))
+    beta = float(beta)
+    return WeightSequence._builtin(lambda i: beta * np.log(i + 1.0), "log", beta)
 
 
 def log_loglog_weights():
@@ -140,11 +159,10 @@ def log_loglog_weights():
     """
 
     def ev(i):
-        if i == 1:
-            return math.log(2.0)
-        return math.log(i + 1) + 2.0 * math.log(math.log(i + 1))
+        u = np.log(i + 1.0)
+        return np.where(i == 1, math.log(2.0), u + 2.0 * np.log(u))
 
-    return WeightSequence(ev, monotone=True, family="log-loglog")
+    return WeightSequence._builtin(ev, "log-loglog")
 
 
 SEQUENCE_FAMILIES = {
@@ -159,14 +177,28 @@ SEQUENCE_FAMILIES = {
 # certified tails
 # ---------------------------------------------------------------------------
 
-def _loglog_tail_integral(x, n_terms):
-    """integral_{n_terms+1}^inf (t+1)^-x log(t+1)^-2x dt for x >= 1."""
-    a = math.log(n_terms + 2)
-    if x == 1.0:
-        return 1.0 / a
-    val, _ = integrate.quad(lambda u: math.exp((1.0 - x) * u) * u ** (-2.0 * x),
-                            a, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-    return val
+# exp-sinh rule for integrals over (0, inf): nodes w = exp(pi/2 sinh(t)),
+# t = k/32 for |k| <= 160.  On the integrands of _loglog_tail_integral
+# (y >= 1, log a >= 3.5) it is accurate to rounding level.
+_DE_T = np.arange(-160, 161) / 32.0
+_DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_T))
+_DE_WEIGHTS = _DE_NODES * np.cosh(_DE_T) * (0.5 * np.pi / 32.0)
+
+_SERIES_ORDERS = 3  # orders of -log(1-u) = sum_m u^m/m bracketed one by one
+_HEAD_BLOCK = 1 << 18  # (node, term) pairs summed per numpy call
+
+
+def _loglog_tail_integral(y, a):
+    """integral_a^inf u^-y log(u)^-2y du for y >= 1 and a > e (arrays broadcast).
+
+    With u = a^(1+w) it equals a^(1-y) log(a)^(1-2y) times
+    integral_0^inf e^{-(y-1) log(a) w} (1+w)^(-2y) dw.
+    """
+    y = np.asarray(y, dtype=np.float64)[..., None]
+    la = np.log(np.asarray(a, dtype=np.float64))[..., None]
+    integrand = np.exp(-(y - 1.0) * la * _DE_NODES - 2.0 * y * np.log1p(_DE_NODES))
+    scale = np.exp((1.0 - y) * la + (1.0 - 2.0 * y) * np.log(la))
+    return (scale * integrand @ _DE_WEIGHTS[:, None])[..., 0]
 
 
 def _tail_exp_sum_bracket(seq, n_terms, x):
@@ -193,7 +225,7 @@ def _tail_exp_sum_bracket(seq, n_terms, x):
     if seq.family == "log-loglog":
         if x < 1.0:
             return _DIVERGENT
-        lo = _loglog_tail_integral(x, n_terms)
+        lo = float(_loglog_tail_integral(x, n_terms + 2.0))
         g = (n_terms + 2) ** (-x) * math.log(n_terms + 2) ** (-2.0 * x)
         return (lo, lo + g)
     if seq.tail_bound is not None:
@@ -207,71 +239,123 @@ def _tail_exp_sum_bracket(seq, n_terms, x):
 def _linear_tail_log_survival(n_terms, x):
     """Exact sum_{i > n_terms} log(1 - e^{-ix}) via the geometric m-series.
 
-    Equals -sum_m (1/m) e^{-m(n_terms+1)x} / (1 - e^{-mx}); truncated once
-    terms fall below machine noise or the running total guarantees the
-    survival product flushes to zero anyway.
+    Equals -sum_m (1/m) e^{-m(n_terms+1)x} / (1 - e^{-mx}) for each entry of
+    the array ``x``.  Orders are summed in blocks of growing length; an entry
+    stops once its newest term falls below machine noise or its running total
+    guarantees the survival product flushes to zero anyway.
     """
-    acc = 0.0
-    for m in range(1, 100000):
-        mx = m * x
-        denom = -math.expm1(-mx)
-        term = math.exp(-m * (n_terms + 1) * x) / (m * denom)
-        acc += term
-        if term < 1e-18 * max(acc, 1e-300):
-            break
-        if acc > 800.0:
-            break
+    acc = np.zeros(x.shape)
+    live = np.arange(x.size)
+    m0, width = 1, 16
+    while live.size and m0 < 100000:
+        m = np.arange(m0, m0 + width, dtype=np.float64)
+        xl = x[live, None]
+        terms = np.exp(-m * (n_terms + 1) * xl) / (m * -np.expm1(-m * xl))
+        total = acc[live] + terms.sum(axis=1)
+        acc[live] = total
+        live = live[(terms[:, -1] >= 1e-18 * total) & (total <= 800.0)]
+        m0, width = m0 + width, 4 * width
     return -acc
+
+
+def _second_order_tail(integral, g_q, q):
+    """Bracket (lo, hi) of sum_{k >= q} log(1 - g(k)) for g convex, decreasing, g < 1.
+
+    -log(1 - u) = sum_m u^m / m, and every g^m is convex and decreasing, so
+    its sum over k >= q lies between the trapezoid bound
+    integral_q^inf g^m + g(q)^m / 2 and the midpoint bound
+    integral_{q-1/2}^inf g^m.  Orders above ``_SERIES_ORDERS`` are folded
+    into the upper side through u^m <= u^(M+1) r^(m-M-1) with r = g(q).
+    ``integral(m, a)`` returns integral_a^inf g^m for an order column ``m``.
+    """
+    m = np.arange(1.0, _SERIES_ORDERS + 1.0)[:, None]
+    top = _SERIES_ORDERS + 1.0
+    lo_mag = ((integral(m, q) + 0.5 * g_q ** m) / m).sum(axis=0)
+    hi_mag = ((integral(m, q - 0.5) / m).sum(axis=0)
+              + integral(top, q - 0.5) / (top * (1.0 - g_q)))
+    return -hi_mag, -lo_mag
+
+
+def _tail_log_survival(seq, n_terms, x):
+    """Bracket (lo, hi) of sum_{i > n_terms} log(1 - e^{-theta_i x}) for an array x.
+
+    Entries are (-inf, -inf) where the tail provably diverges and (-inf, 0)
+    where the sequence carries no usable tail information yet.
+    """
+    lo = np.full(x.shape, -math.inf)
+    hi = lo.copy()
+    q = n_terms + 2.0  # theta_i depends on k = i + 1 in the log families
+    if seq.family == "linear":
+        ok = x > 0.0
+        lo[ok] = hi[ok] = _linear_tail_log_survival(n_terms, x[ok])
+    elif seq.family == "log":
+        ok = seq.beta * x > 1.0
+        s = seq.beta * x[ok]
+        lo[ok], hi[ok] = _second_order_tail(
+            lambda m, a: a ** (1.0 - m * s) / (m * s - 1.0), q ** -s, q)
+    elif seq.family == "log-loglog":
+        ok = x >= 1.0
+        v = x[ok]
+        lo[ok], hi[ok] = _second_order_tail(
+            lambda m, a: _loglog_tail_integral(m * v, a), q ** -v * math.log(q) ** (-2.0 * v), q)
+    elif seq.family != "constant":
+        # custom: first-order bracket from the tail bound; the m >= 2 terms of
+        # the -log(1-u) expansions are folded into the upper magnitude via
+        # u^m <= u r^(m-1).  Without a bound the tail counts as zero once the
+        # newest head term is negligible.
+        br = [_tail_exp_sum_bracket(seq, n_terms, v) for v in x]
+        s_hi = np.array([math.inf if b is None else b[1] for b in br])
+        s_lo = np.array([0.0 if b is None else b[0] for b in br])
+        r = np.exp(-seq.theta(n_terms + 1) * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.where(r < 1.0, -s_hi * (1.0 + r / (2.0 * (1.0 - r))), -math.inf)
+        hi = -s_lo
+        negligible = np.isinf(s_hi) & (np.exp(-seq.theta(n_terms) * x) < 1e-18)
+        lo[negligible] = 0.0
+    return lo, hi
+
+
+def _head_log_survival(x, th):
+    """sum_j log(1 - e^{-th_j x}) for each entry of x, in blocks of bounded size."""
+    step = max(1, _HEAD_BLOCK // max(x.size, 1))
+    with np.errstate(divide="ignore"):
+        return sum(np.log1p(-np.exp(-np.outer(x, th[j:j + step]))).sum(axis=1)
+                   for j in range(0, th.size, step))
 
 
 def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
     """Bracket of sum over i not in ``exclude`` of log(1 - e^{-theta_i x}).
 
-    Returns (lo, hi); (-inf, -inf) means the product is exactly zero (the
-    underlying sum diverges or the partial product crossed the e^-700 floor).
+    ``x`` is an array of nodes; returns arrays (lo, hi).  (-inf, -inf) means
+    the product is exactly zero: the underlying sum diverges or the product
+    is certainly below e^-700.  The head is summed directly and doubled until
+    the family tail bracket is narrower than ``rel_tol``; out of budget, the
+    widest honest bracket is returned instead of a silently tightened one.
     """
-    max_excl = max(exclude) if exclude else 0
-    n = max(32, 2 * max_excl, int(min_terms))
-    partial = 0.0
-    done = 0
+    x = np.asarray(x, dtype=np.float64)
+    lo = np.empty(x.shape)
+    hi = np.empty(x.shape)
+    partial = np.zeros(x.shape)
+    live = np.arange(x.size)
+    n = max(32, 2 * max(exclude, default=0), int(min_terms))
+    th = np.delete(seq.thetas(n), [i - 1 for i in exclude])
     while True:
-        th = seq.thetas(n)[done:n]
-        with np.errstate(divide="ignore"):
-            terms = np.log1p(-np.exp(-x * th))
-        if done < max_excl:
-            keep = np.array([i not in exclude for i in range(done + 1, n + 1)])
-            terms = terms[keep]
-        partial += float(terms.sum())
-        done = n
-        if partial <= LOG_PRODUCT_FLOOR or math.isinf(partial):
-            return (-math.inf, -math.inf)
-        br = _tail_exp_sum_bracket(seq, n, x)
-        if br == _DIVERGENT:
-            return (-math.inf, -math.inf)
-        if seq.family == "linear":
-            t = _linear_tail_log_survival(n, x)
-            if partial + t <= LOG_PRODUCT_FLOOR:
-                return (-math.inf, -math.inf)
-            return (partial + t, partial + t)
-        if br is not None:
-            s_lo, s_hi = br
-            r = math.exp(-seq.theta(n + 1) * x)
-            # the m >= 2 terms of the -log(1-u) expansions are folded into
-            # the upper magnitude via u^m <= u r^(m-1)
-            hi_mag = s_hi * (1.0 + r / (2.0 * (1.0 - r))) if r < 1.0 else math.inf
-            if hi_mag - s_lo <= rel_tol or hi_mag <= 1e-300:
-                return (partial - hi_mag, partial - s_lo)
-        else:
-            # no tail information: extend until the newest term is negligible
-            if math.exp(-seq.theta(n) * x) < 1e-18:
-                return (partial, partial)
+        partial[live] += _head_log_survival(x[live], th)
+        t_lo, t_hi = _tail_log_survival(seq, n, x[live])
+        lo[live] = partial[live] + t_lo
+        hi[live] = partial[live] + t_hi
         if n >= _TERMS_MAX:
-            # out of budget: report the widest honest bracket instead of
-            # silently tightening it
-            if br is not None and math.isfinite(hi_mag):
-                return (partial - hi_mag, partial - s_lo)
-            return (-math.inf, partial)
+            break
+        with np.errstate(invalid="ignore"):
+            live = live[(t_hi - t_lo > rel_tol) & (t_lo < -1e-300)
+                        & (hi[live] > LOG_PRODUCT_FLOOR)]
+        if live.size == 0:
+            break
+        th = seq.thetas(2 * n)[n:]
         n *= 2
+    flushed = hi <= LOG_PRODUCT_FLOOR
+    lo[flushed] = hi[flushed] = -math.inf
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +583,8 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
     rel = min(1e-9, max(0.01 * tol, 1e-14))
 
     def ln_surv(x):
-        return _log_survival_bracket(seq, x, exclude, rel, min_terms)
+        lo, hi = _log_survival_bracket(seq, [x], exclude, rel, min_terms)
+        return lo[0], hi[0]
 
     points = None
     if seq.family in _ANALYTIC_CLASSIFICATION:
@@ -552,12 +637,15 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
     return _telescoped_integral(theta_a, ln_surv, tol)
 
 
-def limit_bottom_pmf_mc(seq, a, size, rng, terms_tol=1e-12):
+def limit_bottom_pmf_mc(seq, a, size, rng):
     """Importance-sampling Monte Carlo estimate of :func:`limit_bottom_pmf`.
 
     Draws the k exponential clocks of the named labels directly, scores the
     descending-order indicator times the survival product of the remaining
-    labels at the smallest clock, and averages.  Returns (estimate, stderr).
+    labels at the smallest clock, and averages.  The survival product of
+    every ordered sample comes from one vectorized call of the certified
+    log-survival bracket, tail included; each sample is weighted by the
+    midpoint of its bracket.  Returns (estimate, stderr).
     """
     a = _check_bottom_labels(a)
     if size < 1:
@@ -566,26 +654,9 @@ def limit_bottom_pmf_mc(seq, a, size, rng, terms_tol=1e-12):
     u = rng.random((size, len(a)))
     x = -np.log(u) / th[None, :]
     ordered = np.all(x[:, :-1] > x[:, 1:], axis=1) if len(a) > 1 else np.ones(size, dtype=bool)
-    xk = x[:, -1]
-
-    log_w = np.zeros(size)
-    active = ordered.copy()
-    exclude = frozenset(a)
-    i = 0
-    while np.any(active) and i < _TERMS_MAX:
-        i += 1
-        if i in exclude:
-            continue
-        th_i = seq.theta(i)
-        t = -th_i * xk[active]
-        e = np.exp(t)
-        log_w[active] += np.log1p(-e)
-        still = log_w[active] > LOG_PRODUCT_FLOOR
-        live = e > terms_tol
-        sub = np.flatnonzero(active)
-        active[sub[~(still & live)]] = False
-    weight = np.where(ordered & (log_w > LOG_PRODUCT_FLOOR), np.exp(log_w), 0.0)
-    weight[~ordered] = 0.0
+    lo, hi = _log_survival_bracket(seq, x[ordered, -1], frozenset(a), 1e-9)
+    weight = np.zeros(size)
+    weight[ordered] = np.exp(0.5 * (lo + hi))
     est = float(weight.mean())
     stderr = float(weight.std(ddof=1) / math.sqrt(size))
     return est, stderr

@@ -125,20 +125,26 @@ def read_jsonl_text(text):
 # weight specs
 # ---------------------------------------------------------------------------
 
+def _family_vector(fam, n, orientation, s):
+    """Vector family ``uniform``, ``sukhatme`` or ``zipf`` of size n; None for other names."""
+    if fam == "uniform":
+        return WeightVector(np.full(n, 1.0 / n))
+    if fam == "sukhatme":
+        return sukhatme_weights(n, orientation)
+    if fam == "zipf":
+        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** float(s))
+    return None
+
+
 def _vector_from_family(name, args):
     if args.n is None:
         raise PreconditionError(f"weight spec: family {name!r} needs --n")
-    n = int(args.n)
-    if name == "uniform":
-        return WeightVector(np.full(n, 1.0 / n))
-    if name == "sukhatme-asc":
-        return sukhatme_weights(n, "ascending")
-    if name == "sukhatme-desc":
-        return sukhatme_weights(n, "descending")
-    if name == "zipf":
-        s = float(getattr(args, "zipf_s", 1.0) or 1.0)
-        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
-    raise PreconditionError(f"weight spec: unknown family {name!r}")
+    orientation = {"sukhatme-asc": "ascending", "sukhatme-desc": "descending"}.get(name)
+    w = _family_vector("sukhatme" if orientation else name, int(args.n), orientation,
+                       getattr(args, "zipf_s", 1.0) or 1.0)
+    if w is None:
+        raise PreconditionError(f"weight spec: unknown family {name!r}")
+    return w
 
 
 def _vector_from_object(obj):
@@ -152,15 +158,11 @@ def _vector_from_object(obj):
         raise PreconditionError("weight spec: object needs 'weights' or 'family'")
     if "n" not in obj:
         raise PreconditionError(f"weight spec: family {fam!r} needs 'n'")
-    n = int(obj["n"])
-    if fam == "uniform":
-        return WeightVector(np.full(n, 1.0 / n))
-    if fam == "sukhatme":
-        return sukhatme_weights(n, obj.get("orientation", "descending"))
-    if fam == "zipf":
-        s = float(obj.get("s", 1.0))
-        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
-    raise PreconditionError(f"weight spec: unknown family {fam!r} in object spec")
+    w = _family_vector(fam, int(obj["n"]), obj.get("orientation", "descending"),
+                       obj.get("s", 1.0))
+    if w is None:
+        raise PreconditionError(f"weight spec: unknown family {fam!r} in object spec")
+    return w
 
 
 def resolve_weight_vector(args):
@@ -316,6 +318,13 @@ def _chamber_cell(kind, row):
     return ",".join(str(int(v)) for v in row)
 
 
+def _chamber_text(kind, chamber):
+    """A SignVector as '+-+', a Permutation as '2,1,3' (one CSV cell)."""
+    if kind == "boolean":
+        return chamber.to_string()
+    return ",".join(map(str, chamber.mapping))
+
+
 def _build_face_table(args):
     model = args.model
     if model == "tsetlin":
@@ -371,6 +380,10 @@ def _cmd_arrangement(args, rng):
         rows = [chain.current]
         for _ in range(args.steps):
             rows.append(walk_step(chain, rng))
+        if args.format == "csv":
+            _emit_csv(["step", "chamber"], [[t, _chamber_text(kind, ch)]
+                                            for t, ch in enumerate(rows)])
+            return {}
         for t, ch in enumerate(rows):
             state = ch.to_string() if kind == "boolean" else list(ch.mapping)
             _emit_json({"step": t, "chamber": state})
@@ -378,9 +391,7 @@ def _cmd_arrangement(args, rng):
     if args.action == "stationary":
         k_mat = transition_matrix(table)
         pi = stationary_exact(k_mat, tol=args.tol)
-        chambers = enumerate_chambers(kind, dim)
-        cells = [ch.to_string() if kind == "boolean" else
-                 ",".join(map(str, ch.mapping)) for ch in chambers]
+        cells = [_chamber_text(kind, ch) for ch in enumerate_chambers(kind, dim)]
         if args.format == "json":
             _emit_json({"kind": kind, "stationary": [
                 {"chamber": c, "probability": p} for c, p in zip(cells, pi)]})
@@ -412,8 +423,6 @@ def _add_common(p, *, seeded=True):
                    help="output format (default json)")
     p.add_argument("--seed", type=int, default=None,
                    help="rng seed; defaults to a time-derived value (logged)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved for parallel kernels; recorded in the manifest")
 
 
 def _add_weight_opts(p):
@@ -499,7 +508,7 @@ def _resolve_seed(args):
     return int(np.random.SeedSequence().entropy % (1 << 64))
 
 
-def _write_manifest(argv, seed, tolerances, exit_code, t0, threads):
+def _write_manifest(argv, seed, tolerances, exit_code, t0):
     out_dir = os.environ.get("LUCEWALKS_OUTPUT_DIR", ".")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -508,7 +517,6 @@ def _write_manifest(argv, seed, tolerances, exit_code, t0, threads):
             "seed": seed,
             "version": __version__,
             "backend": kernels.BACKEND,
-            "threads": threads,
             "tolerances": tolerances,
             "exit_code": exit_code,
             "duration_s": round(time.time() - t0, 6),
@@ -528,11 +536,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        _write_manifest(argv, None, {}, 1, t0, 1)
+        _write_manifest(argv, None, {}, 1, t0)
         return 1
     except SystemExit as e:  # --help / --version
         code = 0 if (e.code or 0) == 0 else 1
-        _write_manifest(argv, None, {}, code, t0, 1)
+        _write_manifest(argv, None, {}, code, t0)
         return code
     seed = _resolve_seed(args)
     print(f"seed: {seed}", file=sys.stderr)
@@ -550,7 +558,7 @@ def main(argv=None):
     except LucewalksError as e:
         print(f"error: {e}", file=sys.stderr)
         code = 3
-    _write_manifest(argv, seed, tolerances, code, t0, getattr(args, "threads", 1))
+    _write_manifest(argv, seed, tolerances, code, t0)
     return code
 
 

@@ -61,6 +61,37 @@ class TestWeightSequence:
     def test_families_registered(self):
         assert set(SEQUENCE_FAMILIES) == {"linear", "constant", "log", "log-loglog"}
 
+    @pytest.mark.parametrize(
+        "seq,formula",
+        [
+            (linear_weights(), float),
+            (constant_weights(), lambda i: 1.0),
+            (log_weights(1.0), lambda i: math.log(i + 1)),
+            (log_weights(2.0), lambda i: 2.0 * math.log(i + 1)),
+            (log_loglog_weights(),
+             lambda i: math.log(2.0) if i == 1 else math.log(i + 1) + 2.0 * math.log(math.log(i + 1))),
+        ],
+    )
+    def test_builtin_thetas_match_scalar_formula(self, seq, formula):
+        th = seq.thetas(10**6)
+        eps = np.finfo(np.float64).eps
+        for i in [*range(1, 11), 10**6]:
+            assert th[i - 1] == pytest.approx(formula(i), rel=4 * eps, abs=0.0)
+            assert type(seq.theta(i)) is float
+
+    def test_custom_int_only_evaluator(self):
+        calls = []
+
+        def ev(i):
+            calls.append(i)
+            return math.log(i + 1)  # math.log rejects arrays
+
+        seq = WeightSequence(ev, monotone=True)
+        for i in range(1, 1001):
+            assert seq.theta(i) == math.log(i + 1)
+        assert calls == list(range(1, len(calls) + 1))
+        assert 1000 <= len(calls) <= 2000
+
 
 class TestFamilies:
     def test_linear(self):
@@ -117,6 +148,122 @@ class TestTailBounds:
         for x in (0.5, 2.0):
             partial = float(np.exp(-th[256:] * x).sum())
             assert partial <= seq.tail_bound(256, x)
+
+
+def _far_tail_log_survival(g_power_integral, g, g_slope, q, orders=3):
+    """sum_{k >= q} log(1 - g(k)) by Euler-Maclaurin, for q so large that the
+    derivative remainder and the orders above ``orders`` are below 1e-20."""
+    total = 0.0
+    for m in range(1, orders + 1):
+        f_q = g(q) ** m
+        slope = m * g(q) ** (m - 1) * g_slope(q)
+        total -= (g_power_integral(m, q) + 0.5 * f_q - slope / 12.0) / m
+    return total
+
+
+def _direct_log_survival(g_of_k, k_lo, k_hi, chunk=1 << 20):
+    """sum_{k_lo <= k < k_hi} log(1 - g(k)), summed in chunks."""
+    total = 0.0
+    for start in range(k_lo, k_hi, chunk):
+        k = np.arange(start, min(start + chunk, k_hi), dtype=np.float64)
+        total += float(np.log1p(-g_of_k(k)).sum())
+    return total
+
+
+def _log_family_oracle(s):
+    def integral(m, q):
+        return q ** (1.0 - m * s) / (m * s - 1.0)
+
+    return (lambda k: k ** -s), integral, (lambda q: -s * q ** (-s - 1.0))
+
+
+def _loglog_oracle(x):
+    from scipy import integrate
+
+    def g(k):
+        return np.exp(-x * (np.log(k) + 2.0 * np.log(np.log(k))))
+
+    def integral(m, q):
+        # t = log u: integral_{log q}^inf e^{(1 - mx) t} t^(-2mx) dt
+        val, _ = integrate.quad(lambda t: math.exp((1.0 - m * x) * t) * t ** (-2.0 * m * x),
+                                math.log(q), math.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+        return val
+
+    def slope(q):
+        return -x * float(g(q)) * (1.0 + 2.0 / math.log(q)) / q
+
+    return (lambda k: g(k)), integral, slope
+
+
+class TestSecondOrderTails:
+    """The log-survival tail brackets of the log families contain the truth."""
+
+    FAR = 1 << 23
+
+    @pytest.mark.parametrize(
+        "seq,x",
+        [(log_weights(beta), s / beta) for beta in (1.0, 2.0) for s in (1.02, 1.3, 2.0, 5.0)]
+        + [(log_loglog_weights(), x) for x in (1.0, 1.05, 1.5, 3.0)],
+    )
+    def test_bracket_contains_truth(self, seq, x):
+        from lucewalks.bottomk import _tail_log_survival
+
+        s = seq.beta * x if seq.family == "log" else x
+        g, integral, slope = _log_family_oracle(s) if seq.family == "log" else _loglog_oracle(x)
+        # theta_i depends on k = i + 1; terms i > n are k >= n + 2
+        far = _far_tail_log_survival(integral, g, slope, float(self.FAR + 2))
+        beyond_4096 = _direct_log_survival(g, 4096 + 2, self.FAR + 2) + far
+        truth = {4096: beyond_4096, 64: _direct_log_survival(g, 64 + 2, 4096 + 2) + beyond_4096}
+        for n, true in truth.items():
+            lo, hi = _tail_log_survival(seq, n, np.array([x]))
+            slack = 1e-12 * abs(true)
+            assert lo[0] <= true + slack
+            assert true <= hi[0] + slack
+            if n == 4096 and s >= 1.3:
+                assert hi[0] - lo[0] < 1e-9
+
+    @pytest.mark.parametrize("y", [1.0, 1.001, 1.3, 4.0, 40.0])
+    @pytest.mark.parametrize("a", [33.5, 4098.0, 2.0**21])
+    def test_loglog_integral(self, y, a):
+        from scipy import integrate
+
+        from lucewalks.bottomk import _loglog_tail_integral
+
+        ref, _ = integrate.quad(lambda t: math.exp((1.0 - y) * t) * t ** (-2.0 * y),
+                                math.log(a), math.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+        assert float(_loglog_tail_integral(y, a)) == pytest.approx(ref, rel=1e-12)
+
+    def test_linear_series_matches_scalar_loop(self):
+        from lucewalks.bottomk import _linear_tail_log_survival
+
+        def one_term_at_a_time(n, x):
+            acc = 0.0
+            for m in range(1, 100000):
+                term = math.exp(-m * (n + 1) * x) / (m * -math.expm1(-m * x))
+                acc += term
+                if term < 1e-18 * max(acc, 1e-300) or acc > 800.0:
+                    break
+            return -acc
+
+        x = np.geomspace(1e-3, 50.0, 200)
+        for n in (32, 1000):
+            want = np.array([one_term_at_a_time(n, v) for v in x])
+            got = _linear_tail_log_survival(n, x)
+            # past -800 both stop early: the survival product flushes to zero
+            flushed = want < -800.0
+            assert np.all(got[flushed] < -800.0)
+            np.testing.assert_allclose(got[~flushed], want[~flushed], rtol=1e-14, atol=0.0)
+
+    def test_divergent_and_vectorized(self):
+        from lucewalks.bottomk import _tail_log_survival
+
+        x = np.array([0.4, 0.5, 0.75, 2.0])  # beta x = 0.8, 1, 1.5, 4
+        lo, hi = _tail_log_survival(log_weights(2.0), 64, x)
+        assert np.all(np.isneginf(lo[:2])) and np.all(np.isneginf(hi[:2]))
+        for j in (2, 3):
+            one_lo, one_hi = _tail_log_survival(log_weights(2.0), 64, x[j:j + 1])
+            assert (lo[j], hi[j]) == (one_lo[0], one_hi[0])
+            assert -np.inf < lo[j] < hi[j] < 0.0
 
 
 class TheoremSeriesEvaluation:
@@ -362,12 +509,62 @@ class TestDefectiveFamilies:
             assert limit_bottom_pmf(constant_weights(), (1,), tol=1e-8) <= 1e-12
 
 
+def log_family_zeta_bottom_pmf(beta, label, head=2000):
+    """P(bottom card = label) for theta_i = beta log(i + 1), from Hurwitz zeta.
+
+    The survival product is summed directly for i <= head; the tail
+    sum_{i > head} log(1 - (i+1)^-s), s = beta x, equals
+    -sum_m zeta(m s, head + 2) / m, and the product vanishes for s <= 1.
+    """
+    from scipy import integrate, special
+
+    i = np.arange(1, head + 1, dtype=np.float64)
+    i = i[i != label]
+    theta = beta * math.log(label + 1)
+
+    def integrand(x):
+        s = beta * x
+        if s <= 1.0:
+            return 0.0
+        log_surv = float(np.log1p(-np.power(i + 1.0, -s)).sum())
+        for m in range(1, 200):
+            term = float(special.zeta(m * s, head + 2.0)) / m
+            log_surv -= term
+            if term < 1e-18:
+                break
+        return theta * math.exp(-theta * x + log_surv)
+
+    x0 = 1.0 / beta
+    val, _ = integrate.quad(integrand, x0, x0 + 60.0 / theta, epsabs=1e-12, epsrel=1e-11,
+                            limit=400, points=[x0 + 0.05, x0 + 0.5])
+    return val
+
+
+class TestZetaOracle:
+    @pytest.mark.parametrize("label", [1, 2, 3])
+    def test_log_beta2_table(self, label):
+        tol = 1e-6
+        got = limit_bottom_pmf(log_weights(2.0), (label,), tol=tol)
+        assert abs(got - log_family_zeta_bottom_pmf(2.0, label)) <= tol
+
+
 class TestMonteCarloCrossCheck:
     @pytest.mark.parametrize("a", [(1,), (1, 2), (3, 1, 4)])
     def test_z_scores(self, a):
         seq = linear_weights()
         quad = limit_bottom_pmf(seq, a, tol=1e-9)
         est, stderr = limit_bottom_pmf_mc(seq, a, 60_000, RngStream(17))
+        assert stderr > 0
+        assert abs(est - quad) / stderr <= 4.0
+
+    @pytest.mark.parametrize("factory", [lambda: log_weights(2.0), log_loglog_weights])
+    @pytest.mark.parametrize("a", [(1,), (2, 1)])
+    def test_z_scores_log_families(self, factory, a):
+        seq = factory()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DefectiveMassWarning)
+            quad = limit_bottom_pmf(seq, a, tol=1e-7)
+        est, stderr = limit_bottom_pmf_mc(seq, a, 20_000, RngStream(23))
         assert stderr > 0
         assert abs(est - quad) / stderr <= 4.0
 

@@ -175,6 +175,26 @@ class TestArrangement:
         assert lines[0]["chamber"] == "+-+"
         assert all(set(doc["chamber"]) <= {"+", "-"} for doc in lines)
 
+    @pytest.mark.parametrize(
+        "model_args,start",
+        [(("--model", "tsetlin", "--weights", "[0.5,0.3,0.2]"), "1,2,3"),
+         (("--model", "ehrenfest", "--dim", "3", "--start", "+-+"), "+-+")],
+    )
+    def test_sim_csv(self, run, model_args, start):
+        args = ("arrangement", "sim", *model_args, "--steps", "5", "--seed", "3")
+        code, out, _ = run(*args, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "step,chamber"
+        rows = read_csv_text(out)
+        assert [r["step"] for r in rows] == [str(t) for t in range(6)]
+        assert rows[0]["chamber"] == start
+        # the same walk as the default JSON lines
+        _, json_out, _ = run(*args)
+        for row, doc in zip(rows, read_jsonl_text(json_out)):
+            chamber = doc["chamber"]
+            want = chamber if isinstance(chamber, str) else ",".join(map(str, chamber))
+            assert row["chamber"] == want
+
     def test_stationary_tsetlin_csv(self, run):
         code, out, _ = run("arrangement", "stationary", "--model", "tsetlin",
                            "--weights", "[0.5,0.3333333333333333,0.16666666666666666]",
@@ -294,6 +314,11 @@ class TestManifestAndSeed:
         assert doc["exit_code"] == 0
         assert doc["argv"][0] == "pmf"
         assert "version" in doc and "duration_s" in doc and "tolerances" in doc
+
+    def test_no_threads_flag(self, run, tmp_path):
+        run("pmf", "--weights", "[1,2]", "--sigma", "1,2", "--seed", "4")
+        assert "threads" not in json.loads((tmp_path / "run_manifest.json").read_text())
+        assert run("pmf", "--weights", "[1,2]", "--sigma", "1,2", "--threads", "2")[0] == 1
 
     def test_manifest_on_usage_error(self, run, tmp_path):
         code, out, _ = run("sample", "--weights", "[1,2,3]", "--seed", "5")
