@@ -346,7 +346,7 @@ def enumerate_chambers(kind, dim):
     """
     _check_enum_size(kind, dim)
     if kind == "boolean":
-        return [SignVector(t) for t in itertools.product((-1, 1), repeat=dim)]
+        return [SignVector(row) for row in _chambers_array(kind, dim).tolist()]
     return all_permutations(dim)
 
 
@@ -355,12 +355,14 @@ def chamber_index(chamber):
     if isinstance(chamber, SignVector):
         if not chamber.is_chamber:
             raise PreconditionError("not a chamber")
-        idx = 0
-        for v in chamber.entries:
-            idx = 2 * idx + (1 if v > 0 else 0)
-        return idx
+        return int(_boolean_rank_many(np.array(chamber.entries)))
     chamber = as_permutation(chamber)
     return int(permutation_rank_many(np.array(chamber.mapping))[0])
+
+
+def _boolean_rank_many(signs):
+    """Canonical index of each Boolean chamber row (entries +-1, last axis)."""
+    return (signs > 0).astype(np.int64) @ (1 << np.arange(signs.shape[-1] - 1, -1, -1))
 
 
 def _chambers_array(kind, dim):
@@ -390,9 +392,7 @@ def transition_matrix(table):
     ent = table.entries_matrix()
     for f in range(table.m):
         if table.kind == "boolean":
-            proj = _project_all_boolean(chambers, ent[f])
-            cols = ((proj > 0).astype(np.int64) *
-                    (1 << np.arange(table.dim - 1, -1, -1))).sum(axis=1)
+            cols = _boolean_rank_many(_project_all_boolean(chambers, ent[f]))
         else:
             proj = _project_all_braid(chambers, ent[f])
             cols = permutation_rank_many(proj)

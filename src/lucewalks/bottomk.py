@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
 from .core import as_weight_vector
 from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError
@@ -201,11 +202,30 @@ def _loglog_tail_integral(y, a):
     return (scale * integrand @ _DE_WEIGHTS[:, None])[..., 0]
 
 
+def _log_family_tail(seq, q, x):
+    """Tail data of the ``log`` and ``log-loglog`` families for an array x.
+
+    Returns ``(ok, g_q, integral)``: ``ok`` masks the x at which the tail
+    converges (beta x > 1, or x >= 1); for those x, with g(k) = e^{-theta_i x}
+    written in k = i + 1, ``g_q`` is g(q) and ``integral(m, a)`` is
+    integral_a^inf g^m.  The terms i > n lie at k >= q = n + 2.
+    """
+    if seq.family == "log":
+        ok = seq.beta * x > 1.0
+        s = seq.beta * x[ok]
+        return ok, q ** -s, lambda m, a: a ** (1.0 - m * s) / (m * s - 1.0)
+    ok = x >= 1.0
+    v = x[ok]
+    return (ok, q ** -v * math.log(q) ** (-2.0 * v),
+            lambda m, a: _loglog_tail_integral(m * v, a))
+
+
 def _tail_exp_sum_bracket(seq, n_terms, x):
     """Bracket (lo, hi) of sum_{i > n_terms} exp(-theta_i x).
 
     Returns ``(inf, inf)`` when the tail provably diverges and None when the
-    sequence carries no usable tail information.
+    sequence carries no usable tail information.  The log families use the
+    m = 1 trapezoid and midpoint bounds of :func:`_second_order_tail`.
     """
     if seq.family == "linear":
         q = math.exp(-x)
@@ -215,19 +235,12 @@ def _tail_exp_sum_bracket(seq, n_terms, x):
         return (v, v)
     if seq.family == "constant":
         return _DIVERGENT
-    if seq.family == "log":
-        s = seq.beta * x
-        if s <= 1.0:
+    if seq.family in ("log", "log-loglog"):
+        q = n_terms + 2.0
+        ok, g_q, integral = _log_family_tail(seq, q, np.array([float(x)]))
+        if not ok[0]:
             return _DIVERGENT
-        base = float(n_terms + 2)
-        lo = base ** (1.0 - s) / (s - 1.0)
-        return (lo, lo + base ** (-s))
-    if seq.family == "log-loglog":
-        if x < 1.0:
-            return _DIVERGENT
-        lo = float(_loglog_tail_integral(x, n_terms + 2.0))
-        g = (n_terms + 2) ** (-x) * math.log(n_terms + 2) ** (-2.0 * x)
-        return (lo, lo + g)
+        return (float(integral(1.0, q)[0] + 0.5 * g_q[0]), float(integral(1.0, q - 0.5)[0]))
     if seq.tail_bound is not None:
         hi = float(seq.tail_bound(n_terms, x))
         if math.isinf(hi):
@@ -284,20 +297,13 @@ def _tail_log_survival(seq, n_terms, x):
     """
     lo = np.full(x.shape, -math.inf)
     hi = lo.copy()
-    q = n_terms + 2.0  # theta_i depends on k = i + 1 in the log families
     if seq.family == "linear":
         ok = x > 0.0
         lo[ok] = hi[ok] = _linear_tail_log_survival(n_terms, x[ok])
-    elif seq.family == "log":
-        ok = seq.beta * x > 1.0
-        s = seq.beta * x[ok]
-        lo[ok], hi[ok] = _second_order_tail(
-            lambda m, a: a ** (1.0 - m * s) / (m * s - 1.0), q ** -s, q)
-    elif seq.family == "log-loglog":
-        ok = x >= 1.0
-        v = x[ok]
-        lo[ok], hi[ok] = _second_order_tail(
-            lambda m, a: _loglog_tail_integral(m * v, a), q ** -v * math.log(q) ** (-2.0 * v), q)
+    elif seq.family in ("log", "log-loglog"):
+        q = n_terms + 2.0
+        ok, g_q, integral = _log_family_tail(seq, q, x)
+        lo[ok], hi[ok] = _second_order_tail(integral, g_q, q)
     elif seq.family != "constant":
         # custom: first-order bracket from the tail bound; the m >= 2 terms of
         # the -log(1-u) expansions are folded into the upper magnitude via
@@ -453,6 +459,7 @@ def convergence_test(seq):
 
     caveat = None if seq.tail_bound is not None else \
         "no tail bound supplied; classification rests on partial-sum heuristics"
+    prefix = seq.thetas(1 << 16)
 
     def is_finite(x):
         if seq.tail_bound is not None:
@@ -462,10 +469,9 @@ def convergence_test(seq):
                     return True
                 n *= 2
             return False
-        try:
-            return math.isfinite(f_eval(seq, x, tol=1e-6))
-        except ToleranceError:
-            return False
+        # Cauchy condensation: the sum is finite when its dyadic windows
+        # shrink; compared in log space so large x cannot underflow to 0 = 0
+        return logsumexp(-x * prefix[1 << 15:]) < logsumexp(-x * prefix[1 << 14:1 << 15])
 
     hi = 1.0
     doublings = 0
@@ -498,7 +504,7 @@ def convergence_test(seq):
 
     # decide f(x0) by raw partial-sum growth at (or just above) zero
     probe = x0 if x0 > 0 else 1e-12
-    partial = float(np.exp(-probe * seq.thetas(1 << 16)).sum())
+    partial = float(np.exp(-probe * prefix).sum())
     f_at_x0 = "infinite" if partial > 1e4 else "finite"
     converges = math.isfinite(x0) and f_at_x0 == "infinite"
     return ConvergenceReport(x0=x0, f_at_x0=f_at_x0, converges=converges,

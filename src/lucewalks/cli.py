@@ -24,7 +24,6 @@ met), 3 precondition violation.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -33,11 +32,10 @@ import warnings
 import numpy as np
 
 from . import __version__, kernels
-from .arrangements import (FaceWeightTable, ChamberChain, Permutation, SignVector,
-                           brown_diaconis_sample_many, chamber_index,
-                           ehrenfest_face_weights, enumerate_chambers,
-                           graph_coloring_face_weights, riffle_face_weights,
-                           stationary_exact, transition_matrix,
+from .arrangements import (ChamberChain, Permutation, SignVector,
+                           brown_diaconis_sample_many, ehrenfest_face_weights,
+                           enumerate_chambers, graph_coloring_face_weights,
+                           riffle_face_weights, stationary_exact, transition_matrix,
                            tsetlin_face_weights, walk_step)
 from .bottomk import SEQUENCE_FAMILIES, convergence_test, limit_bottom_pmf
 from .core import (WeightVector, luce_pmf, normalize, sample_exponential_many,
@@ -185,7 +183,8 @@ def resolve_weight_vector(args):
     elif s in VECTOR_FAMILIES:
         w = _vector_from_family(s, args)
     elif os.path.exists(s):
-        text = open(s).read().strip()
+        with open(s) as fh:
+            text = fh.read().strip()
         try:
             if text.startswith("[") or text.startswith("{"):
                 parsed = json.loads(text)
@@ -300,29 +299,23 @@ def _cmd_converge_test(args, rng):
     return {}
 
 
-def _parse_chamber(kind, dim, text):
+def _parse_chamber(kind, text):
     if kind == "boolean":
         return SignVector.from_string(text.strip())
     return Permutation(_parse_labels(text, "chamber"))
 
 
-def _chamber_json(kind, row):
+def _chamber_json(kind, chamber):
+    """A chamber, as an object or a row of entries, in JSON: '+-+' or [2, 1, 3]."""
     if kind == "boolean":
-        return SignVector(row).to_string()
-    return [int(v) for v in row]
-
-
-def _chamber_cell(kind, row):
-    if kind == "boolean":
-        return SignVector(row).to_string()
-    return ",".join(str(int(v)) for v in row)
+        return (chamber if isinstance(chamber, SignVector) else SignVector(chamber)).to_string()
+    return [int(v) for v in chamber]
 
 
 def _chamber_text(kind, chamber):
-    """A SignVector as '+-+', a Permutation as '2,1,3' (one CSV cell)."""
-    if kind == "boolean":
-        return chamber.to_string()
-    return ",".join(map(str, chamber.mapping))
+    """The same chamber as one CSV cell: '+-+' or '2,1,3'."""
+    doc = _chamber_json(kind, chamber)
+    return doc if kind == "boolean" else ",".join(map(str, doc))
 
 
 def _build_face_table(args):
@@ -357,14 +350,15 @@ def _read_edge_list(path):
     if not os.path.exists(path):
         raise PreconditionError(f"graph file {path!r} not found")
     edges = []
-    for line in open(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise PreconditionError(f"graph file: bad line {line!r} (want 'u v')")
-        edges.append((int(parts[0]), int(parts[1])))
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise PreconditionError(f"graph file: bad line {line!r} (want 'u v')")
+            edges.append((int(parts[0]), int(parts[1])))
     return edges
 
 
@@ -374,7 +368,7 @@ def _cmd_arrangement(args, rng):
     if args.action == "sim":
         if args.steps < 0:
             raise PreconditionError("--steps must be nonnegative")
-        start = _parse_chamber(kind, dim, args.start) if args.start else \
+        start = _parse_chamber(kind, args.start) if args.start else \
             (SignVector([1] * dim) if kind == "boolean" else Permutation.identity(dim))
         chain = ChamberChain(table, start)
         rows = [chain.current]
@@ -385,8 +379,7 @@ def _cmd_arrangement(args, rng):
                                             for t, ch in enumerate(rows)])
             return {}
         for t, ch in enumerate(rows):
-            state = ch.to_string() if kind == "boolean" else list(ch.mapping)
-            _emit_json({"step": t, "chamber": state})
+            _emit_json({"step": t, "chamber": _chamber_json(kind, ch)})
         return {}
     if args.action == "stationary":
         k_mat = transition_matrix(table)
@@ -403,13 +396,13 @@ def _cmd_arrangement(args, rng):
             raise PreconditionError("--samples must be nonnegative")
         if args.samples == 0:
             return {}
-        reference = _parse_chamber(kind, dim, args.reference) if args.reference else None
+        reference = _parse_chamber(kind, args.reference) if args.reference else None
         out = brown_diaconis_sample_many(table, args.samples, rng, reference)
         if args.format == "json":
             _emit_json({"kind": kind,
                         "samples": [_chamber_json(kind, row) for row in out]})
         else:
-            _emit_csv(["chamber"], [[_chamber_cell(kind, row)] for row in out])
+            _emit_csv(["chamber"], [[_chamber_text(kind, row)] for row in out])
         return {}
     raise PreconditionError(f"unknown arrangement action {args.action!r}")
 
@@ -418,7 +411,7 @@ def _cmd_arrangement(args, rng):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, seeded=True):
+def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default json)")
     p.add_argument("--seed", type=int, default=None,
@@ -457,8 +450,6 @@ def build_parser():
     p = sub.add_parser("topk", help="distance diagnostics for the first k draws")
     _add_weight_opts(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--report", action="store_true",
-                   help="emit the full distance report (the default and only mode)")
     _add_common(p)
     p.set_defaults(func=_cmd_topk)
 
@@ -491,8 +482,6 @@ def build_parser():
             q.add_argument("--steps", type=int, required=True)
             q.add_argument("--start", help="start chamber ('+-+' or '2,1,3')")
         elif action == "stationary":
-            q.add_argument("--exact", action="store_true",
-                           help="exact dense solve (the only implemented mode)")
             q.add_argument("--tol", type=float, default=1e-10)
         else:
             q.add_argument("--samples", type=int, required=True)

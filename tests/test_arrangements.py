@@ -318,6 +318,20 @@ class TestTransitionMatrix:
                 FaceWeightTable("boolean", 16, [(SignVector((0,) * 16), 1.0)])
             )
 
+    @pytest.mark.parametrize(
+        "table",
+        [tsetlin_face_weights([0.4, 0.3, 0.2, 0.1]), riffle_face_weights(4),
+         ehrenfest_face_weights(3), graph_coloring_face_weights([(1, 2), (2, 3), (3, 4)])],
+        ids=["tsetlin4", "riffle4", "ehrenfest3", "coloring-path4"],
+    )
+    def test_matches_scalar_projections(self, table):
+        project = project_boolean if table.kind == "boolean" else project_braid
+        want = np.zeros((len(enumerate_chambers(table.kind, table.dim)),) * 2)
+        for c in enumerate_chambers(table.kind, table.dim):
+            for face, w in zip(table.faces, table.weights):
+                want[chamber_index(c), chamber_index(project(c, face))] += w
+        np.testing.assert_array_equal(transition_matrix(table), want)
+
 
 class TestIsSeparating:
     def test_identity_face_only(self):

@@ -296,6 +296,25 @@ class TestSeriesEvaluationTheorem:
         with pytest.raises(PreconditionError):
             f_eval(linear_weights(), -1.0)
 
+    @pytest.mark.parametrize("beta,x", [(1.0, 1.1), (1.0, 1.5), (2.0, 0.55)])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_log_near_threshold(self, beta, x, tol):
+        from scipy.special import zeta
+
+        # sum_i (i+1)^(-beta x) = zeta(beta x) - 1
+        got = f_eval(log_weights(beta), x, tol=tol)
+        assert abs(got - (zeta(beta * x) - 1.0)) <= tol
+
+    @pytest.mark.parametrize("x", [1.0, 1.05])
+    def test_log_loglog_at_threshold(self, x):
+        g, integral, slope = _loglog_oracle(x)
+        # theta_1 = log 2; theta_i for i >= 2 is g at k = i + 1.  With orders=1 the
+        # far-tail log survival is minus the Euler-Maclaurin sum of g beyond k_far.
+        k_far = 1 << 16
+        truth = (2.0 ** -x + float(g(np.arange(3.0, k_far)).sum())
+                 - _far_tail_log_survival(integral, g, slope, float(k_far), orders=1))
+        assert abs(f_eval(log_loglog_weights(), x, tol=1e-10) - truth) <= 1e-10
+
     def test_custom_without_bound(self):
         # fast decay: certified by window extrapolation alone
         seq = WeightSequence(lambda i: float(i * i), monotone=True)
@@ -343,6 +362,18 @@ class TestConvergenceCriterionTheorem:
         seq = WeightSequence(lambda i: float(i), monotone=True)
         rep = convergence_test(seq)
         assert rep.caveat is not None
+
+    def test_custom_without_bound_condensation(self):
+        def classify(evaluator):
+            rep = convergence_test(WeightSequence(evaluator, monotone=True))
+            assert rep.caveat is not None
+            return rep
+
+        # (i+1)^(-1.5x) is summable exactly when x > 2/3
+        assert abs(classify(lambda i: 1.5 * math.log(i + 1)).x0 - 2.0 / 3.0) < 0.01
+        assert classify(lambda i: float(i)).converges
+        # constant weights never give a finite sum, however large x is
+        assert math.isinf(classify(lambda i: 1.0).x0)
 
     def test_non_monotone_custom_rejected(self):
         seq = WeightSequence(lambda i: float(i % 3 + 1))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestSample:
 class TestTopk:
     def test_report_fields(self, run):
         code, out, _ = run("topk", "--weights", "[1,1,1,1]", "--normalize",
-                           "--k", "2", "--report")
+                           "--k", "2")
         assert code == 0
         doc = read_json_text(out)
         assert doc["tv_exact"] == pytest.approx(0.25, abs=1e-9)
@@ -198,7 +199,7 @@ class TestArrangement:
     def test_stationary_tsetlin_csv(self, run):
         code, out, _ = run("arrangement", "stationary", "--model", "tsetlin",
                            "--weights", "[0.5,0.3333333333333333,0.16666666666666666]",
-                           "--exact", "--format", "csv")
+                           "--format", "csv")
         assert code == 0
         rows = read_csv_text(out)
         assert len(rows) == 6
@@ -211,7 +212,7 @@ class TestArrangement:
         graph = tmp_path / "path4.txt"
         graph.write_text("# path on four vertices\n1 2\n2 3\n3 4\n")
         code, out, _ = run("arrangement", "stationary", "--model", "coloring",
-                           "--graph", str(graph), "--exact")
+                           "--graph", str(graph))
         assert code == 0
         doc = read_json_text(out)
         lookup = {row["chamber"]: row["probability"] for row in doc["stationary"]}
@@ -241,7 +242,7 @@ class TestArrangement:
         graph = tmp_path / "bad.txt"
         graph.write_text("1 1\n")
         code, _, err = run("arrangement", "stationary", "--model", "coloring",
-                           "--graph", str(graph), "--exact")
+                           "--graph", str(graph))
         assert code == 3
 
 
@@ -288,6 +289,18 @@ class TestWeightSpecs:
         assert code == 3
         assert "--n" in err
 
+    def test_files_closed(self, run, tmp_path):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1 2 3\n")
+        graph = tmp_path / "path3.txt"
+        graph.write_text("1 2\n2 3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run("pmf", "--weights", str(wfile), "--sigma", "3,2,1")[0] == 0
+            assert run("arrangement", "stationary", "--model", "coloring",
+                       "--graph", str(graph))[0] == 0
+        assert [str(w.message) for w in caught] == []
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, run):
@@ -319,6 +332,12 @@ class TestManifestAndSeed:
         run("pmf", "--weights", "[1,2]", "--sigma", "1,2", "--seed", "4")
         assert "threads" not in json.loads((tmp_path / "run_manifest.json").read_text())
         assert run("pmf", "--weights", "[1,2]", "--sigma", "1,2", "--threads", "2")[0] == 1
+
+    def test_no_report_or_exact_flag(self, run):
+        assert run("topk", "--weights", "[1,1,1,1]", "--normalize", "--k", "2",
+                   "--report")[0] == 1
+        assert run("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2",
+                   "--exact")[0] == 1
 
     def test_manifest_on_usage_error(self, run, tmp_path):
         code, out, _ = run("sample", "--weights", "[1,2,3]", "--seed", "5")
