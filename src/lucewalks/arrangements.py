@@ -57,7 +57,7 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 BOOLEAN_ENUM_MAX = 15   # 2^15 chambers
 BRAID_ENUM_MAX = 8      # 8! chambers
-_RANK_CHECK_MAX = 1024  # dense rank verification cap for the stationary solve
+KERNEL_NNZ_MAX = 1 << 26  # stored entries of a sparse kernel (768 MiB of CSR)
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _CHAR_SIGNS = {v: k for k, v in _SIGN_CHARS.items()}
@@ -369,7 +369,7 @@ def _chambers_array(kind, dim):
     if kind == "boolean":
         bits = ((np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1)
         return (2 * bits - 1).astype(np.int8)
-    return np.array([p.mapping for p in all_permutations(dim)], dtype=np.int64)
+    return np.array(list(itertools.permutations(range(1, dim + 1))), dtype=np.int64)
 
 
 def _project_all_boolean(chambers, entries):
@@ -383,20 +383,34 @@ def _project_all_braid(chambers, ids):
 
 
 def transition_matrix(table):
-    """Dense one-step kernel K[c, c'] over all chambers in canonical order."""
+    """Sparse one-step kernel K[c, c'] over all chambers in canonical order.
+
+    Returns a ``scipy.sparse.csr_array``.  Row c holds one entry per face F,
+    w_F at the rank of c projected onto F, with coinciding projections
+    summed.  Raises ``PreconditionError`` before allocating when the
+    chambers x faces entries would exceed ``KERNEL_NNZ_MAX``.
+    """
+    import scipy.sparse as sp
+
     _check_enum_size(table.kind, table.dim)
+    n_ch = 1 << table.dim if table.kind == "boolean" else math.factorial(table.dim)
+    nnz = n_ch * table.m
+    if nnz > KERNEL_NNZ_MAX:
+        raise PreconditionError(
+            f"kernel needs {n_ch} chambers x {table.m} faces = {nnz} entries, "
+            f"over the cap of {KERNEL_NNZ_MAX}")
     chambers = _chambers_array(table.kind, table.dim)
-    n_ch = chambers.shape[0]
-    k_mat = np.zeros((n_ch, n_ch), dtype=np.float64)
-    rows = np.arange(n_ch)
+    cols = np.empty((n_ch, table.m), dtype=np.int32)
     ent = table.entries_matrix()
     for f in range(table.m):
         if table.kind == "boolean":
-            cols = _boolean_rank_many(_project_all_boolean(chambers, ent[f]))
+            cols[:, f] = _boolean_rank_many(_project_all_boolean(chambers, ent[f]))
         else:
-            proj = _project_all_braid(chambers, ent[f])
-            cols = permutation_rank_many(proj)
-        k_mat[rows, cols] += table.weights[f]
+            cols[:, f] = permutation_rank_many(_project_all_braid(chambers, ent[f]))
+    data = np.tile(table.weights, n_ch)
+    indptr = table.m * np.arange(n_ch + 1, dtype=np.int32)
+    k_mat = sp.csr_array((data, cols.ravel(), indptr), shape=(n_ch, n_ch))
+    k_mat.sum_duplicates()
     return k_mat
 
 
@@ -416,30 +430,48 @@ def is_separating(table):
 def stationary_exact(matrix, tol=1e-10):
     """The unique stationary distribution of a row-stochastic kernel.
 
-    Solves pi (K - I) = 0 with a normalization row appended in place of one
-    equation.  Raises when the system is singular or the solution fails the
-    residual check, both of which signal a non-separating face table.
+    Accepts a dense array or any scipy sparse matrix.  Uniqueness is decided
+    exactly from the support graph of K: the law is unique when the graph
+    has exactly one closed strongly connected class, and ``ToleranceError``
+    is raised otherwise (a non-separating face table, for instance).  pi is
+    then the solution of pi (K - I) = 0 with the normalization sum(pi) = 1
+    in place of the last equation, found by BiCGSTAB from the uniform
+    start.  The result must pass max|pi K - pi| <= tol.
     """
-    k_mat = np.asarray(matrix, dtype=np.float64)
-    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
-        raise PreconditionError("matrix must be square")
-    n_ch = k_mat.shape[0]
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise PreconditionError("matrix must be square and nonempty")
+    k_mat = sp.csr_array(matrix, dtype=np.float64, copy=True)
+    k_mat.sum_duplicates()
+    k_mat.eliminate_zeros()
+    n_ch = shape[0]
+    if not np.all(np.isfinite(k_mat.data)) or np.any(k_mat.data < 0.0):
+        raise PreconditionError("matrix entries must be finite and nonnegative")
     if np.abs(k_mat.sum(axis=1) - 1.0).max() > 1e-9:
         raise PreconditionError("matrix rows must sum to 1")
-    a_mat = k_mat.T - np.eye(n_ch)
-    if n_ch <= _RANK_CHECK_MAX:
-        if np.linalg.matrix_rank(a_mat, tol=1e-9) < n_ch - 1:
-            raise ToleranceError(
-                "stationary distribution is not unique (non-separating weights)")
-    a_mod = a_mat.copy()
-    a_mod[-1, :] = 1.0
+    n_comp, labels = connected_components(k_mat, directed=True, connection="strong")
+    # a class is closed when no edge leaves it
+    source = np.repeat(labels, np.diff(k_mat.indptr))
+    n_closed = n_comp - np.unique(source[source != labels[k_mat.indices]]).size
+    if n_closed != 1:
+        raise ToleranceError(
+            f"stationary distribution is not unique: {n_closed} closed classes "
+            "(non-separating weights)")
+
+    def bordered(x):
+        y = x @ k_mat - x
+        y[-1] = x.sum()
+        return y
+
     b = np.zeros(n_ch)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a_mod, b)
-    except np.linalg.LinAlgError:
-        raise ToleranceError(
-            "singular stationary system (non-separating weights)") from None
+    # stop near machine precision whatever tol is: the residual check below is the test
+    pi, _ = bicgstab(LinearOperator((n_ch, n_ch), matvec=bordered, dtype=np.float64),
+                     b, x0=np.full(n_ch, 1.0 / n_ch), rtol=1e-14, atol=0.0)
     if pi.min() < -1e-12:
         raise ToleranceError(f"stationary solve produced entry {pi.min():g} < -1e-12")
     pi = np.clip(pi, 0.0, None)

@@ -18,7 +18,8 @@ Every run logs its seed to stderr and writes a ``run_manifest.json`` sidecar
 (directory from ``LUCEWALKS_OUTPUT_DIR``, default the working directory).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (tolerance not
-met), 3 precondition violation.
+met), 3 precondition violation, 4 internal error (out of memory, or any other
+unexpected exception).
 """
 
 import argparse
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import warnings
 
 import numpy as np
@@ -384,13 +386,14 @@ def _cmd_arrangement(args, rng):
     if args.action == "stationary":
         k_mat = transition_matrix(table)
         pi = stationary_exact(k_mat, tol=args.tol)
+        residual = float(np.abs(pi @ k_mat - pi).max())
         cells = [_chamber_text(kind, ch) for ch in enumerate_chambers(kind, dim)]
         if args.format == "json":
             _emit_json({"kind": kind, "stationary": [
                 {"chamber": c, "probability": p} for c, p in zip(cells, pi)]})
         else:
             _emit_csv(["chamber", "probability"], list(zip(cells, pi)))
-        return {"tol": args.tol}
+        return {"tol": args.tol, "residual": residual}
     if args.action == "sample-bd":
         if args.samples < 0:
             raise PreconditionError("--samples must be nonnegative")
@@ -491,13 +494,22 @@ def build_parser():
     return parser
 
 
+# (exception class, exit code, stderr label), first match wins
+_EXITS = (
+    (PreconditionError, 3, "precondition error"),
+    (ToleranceError, 2, "numerical failure"),
+    (LucewalksError, 3, "error"),
+    (Exception, 4, "internal error"),
+)
+
+
 def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     return int(np.random.SeedSequence().entropy % (1 << 64))
 
 
-def _write_manifest(argv, seed, tolerances, exit_code, t0):
+def _write_manifest(argv, seed, tolerances, exit_code, t0, error=None, trace=None):
     out_dir = os.environ.get("LUCEWALKS_OUTPUT_DIR", ".")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -508,6 +520,8 @@ def _write_manifest(argv, seed, tolerances, exit_code, t0):
             "backend": kernels.BACKEND,
             "tolerances": tolerances,
             "exit_code": exit_code,
+            "error": error,
+            "traceback": trace,
             "duration_s": round(time.time() - t0, 6),
         }
         with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
@@ -535,19 +549,18 @@ def main(argv=None):
     print(f"seed: {seed}", file=sys.stderr)
     rng = RngStream(seed)
     tolerances = {}
+    error = trace = None
     try:
         tolerances = args.func(args, rng) or {}
         code = 0
-    except PreconditionError as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        code = 3
-    except ToleranceError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        code = 2
-    except LucewalksError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 3
-    _write_manifest(argv, seed, tolerances, code, t0)
+    except Exception as e:  # MemoryError included; KeyboardInterrupt is not an Exception
+        error = type(e).__name__
+        code, label = next((c, label) for cls, c, label in _EXITS if isinstance(e, cls))
+        if code == 4:
+            label = f"{label}: {error}"
+            trace = traceback.format_exc()
+        print(f"{label}: {' '.join(str(e).split())}", file=sys.stderr)
+    _write_manifest(argv, seed, tolerances, code, t0, error, trace)
     return code
 
 

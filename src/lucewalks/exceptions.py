@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: precondition violations exit with 3,
-numerical-tolerance failures with 2, malformed input with 1.
+numerical-tolerance failures with 2, malformed input with 1.  Any other
+exception, ``MemoryError`` included, exits with 4.
 """
 
 

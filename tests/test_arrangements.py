@@ -281,7 +281,7 @@ class TestWalkKernelTheorem:
         w = normalize(gen.uniform(0.3, 1.0, size=4))
         table = tsetlin_face_weights(w)
         start = Permutation((3, 1, 4, 2))
-        row = transition_matrix(table)[chamber_index(start)]
+        row = transition_matrix(table).toarray()[chamber_index(start)]
         rng = RngStream(19)
         counts = np.zeros(row.size)
         trials = 100_000
@@ -297,18 +297,18 @@ class TestWalkKernelTheorem:
 class TestTransitionMatrix:
     def test_identity_face_only(self):
         table = FaceWeightTable("boolean", 2, [(SignVector((0, 0)), 1.0)])
-        np.testing.assert_allclose(transition_matrix(table), np.eye(4))
+        np.testing.assert_allclose(transition_matrix(table).toarray(), np.eye(4))
 
     def test_braid_two_tsetlin(self):
         p = 0.7
         table = tsetlin_face_weights([p, 1 - p])
-        k = transition_matrix(table)
+        k = transition_matrix(table).toarray()
         np.testing.assert_allclose(k, [[p, 1 - p], [p, 1 - p]], atol=1e-15)
 
     def test_rows_stochastic_random_tables(self, np_rng):
         for kind, dim in (("boolean", 4), ("braid", 4)):
             table = random_sparse_table(kind, dim, np_rng)
-            k = transition_matrix(table)
+            k = transition_matrix(table).toarray()
             np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(k >= 0)
 
@@ -317,6 +317,21 @@ class TestTransitionMatrix:
             transition_matrix(
                 FaceWeightTable("boolean", 16, [(SignVector((0,) * 16), 1.0)])
             )
+
+    def test_entry_budget(self):
+        # 2^15 chambers x 2049 faces is one row of faces over KERNEL_NNZ_MAX
+        faces = [SignVector(np.array(np.unravel_index(i, (3,) * 15)) - 1)
+                 for i in range(1, 2050)]
+        table = FaceWeightTable("boolean", 15, [(f, 1.0 / len(faces)) for f in faces])
+        with pytest.raises(PreconditionError, match="entries"):
+            transition_matrix(table)
+
+    def test_returns_csr(self):
+        # 7 riffle faces per row, but many send a chamber to the same place
+        k = transition_matrix(riffle_face_weights(3))
+        assert k.format == "csr" and k.indices.dtype == np.int32
+        assert k.has_canonical_format
+        assert k.nnz == np.count_nonzero(k.toarray()) < 6 * 7
 
     @pytest.mark.parametrize(
         "table",
@@ -330,7 +345,7 @@ class TestTransitionMatrix:
         for c in enumerate_chambers(table.kind, table.dim):
             for face, w in zip(table.faces, table.weights):
                 want[chamber_index(c), chamber_index(project(c, face))] += w
-        np.testing.assert_array_equal(transition_matrix(table), want)
+        np.testing.assert_array_equal(transition_matrix(table).toarray(), want)
 
 
 class TestIsSeparating:
@@ -356,14 +371,14 @@ class TestUniqueStationaryTheorem:
     def test_rank_separating(self, np_rng):
         for kind, dim in (("braid", 4), ("boolean", 5), ("braid", 3)):
             table = random_sparse_table(kind, dim, np_rng)
-            k = transition_matrix(table)
+            k = transition_matrix(table).toarray()
             nn = k.shape[0]
             rank = np.linalg.matrix_rank(k.T - np.eye(nn))
             assert rank == nn - 1
 
     def test_rank_identity_table(self):
         table = FaceWeightTable("boolean", 3, [(SignVector((0, 0, 0)), 1.0)])
-        k = transition_matrix(table)
+        k = transition_matrix(table).toarray()
         assert np.linalg.matrix_rank(k.T - np.eye(8)) < 7
 
     def test_identity_matrix_rejected(self):
@@ -373,6 +388,54 @@ class TestUniqueStationaryTheorem:
     def test_non_stochastic_rejected(self):
         with pytest.raises(PreconditionError):
             stationary_exact(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_non_separating_past_old_rank_cap(self):
+        # coordinates 1..10 are pinned, 11 never moves: 2048 chambers, two closed classes
+        pairs = []
+        for i in range(10):
+            for sign in (-1, 1):
+                entries = [0] * 11
+                entries[i] = sign
+                pairs.append((SignVector(entries), 1.0 / 20))
+        table = FaceWeightTable("boolean", 11, pairs)
+        with pytest.raises(ToleranceError, match="not unique"):
+            stationary_exact(transition_matrix(table))
+
+    def test_periodic_chain(self):
+        k = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        np.testing.assert_allclose(stationary_exact(k), [0.25, 0.5, 0.25], atol=1e-12)
+
+    def test_transient_states_get_zero(self):
+        k = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
+        np.testing.assert_allclose(stationary_exact(k), [0.0, 6 / 13, 7 / 13], atol=1e-12)
+
+    def test_dense_and_sparse_agree(self, np_rng):
+        table = random_sparse_table("boolean", 4, np_rng)
+        k = transition_matrix(table)
+        assert isinstance(k.toarray(), np.ndarray)
+        np.testing.assert_allclose(stationary_exact(k.toarray()), stationary_exact(k),
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.2, -0.2], [0.5, 0.5]]),
+        np.array([[np.nan, 1.0], [0.5, 0.5]]),
+        np.ones((2, 3)) / 3,
+        np.ones((0, 0)),
+    ], ids=["negative", "nan", "non-square", "empty"])
+    def test_bad_matrix_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            stationary_exact(bad)
+
+    def test_input_left_unchanged(self):
+        import scipy.sparse as sp
+
+        # duplicate entries and an explicit zero: not canonical CSR
+        k = sp.csr_array((np.array([0.25, 0.25, 0.0, 0.5, 1.0]), np.array([1, 1, 0, 0, 0]),
+                          np.array([0, 4, 5])), shape=(2, 2))
+        before = [a.copy() for a in (k.data, k.indices, k.indptr)]
+        np.testing.assert_allclose(stationary_exact(k), [2 / 3, 1 / 3], atol=1e-12)
+        for a, b in zip((k.data, k.indices, k.indptr), before):
+            np.testing.assert_array_equal(a, b)
 
     def test_stationary_fixed_point(self, np_rng):
         table = random_sparse_table("braid", 4, np_rng)
@@ -399,6 +462,19 @@ class TestMoveToFrontStationaryTheorem:
         w = np.array([1 / 2, 1 / 3, 1 / 6])
         pi = stationary_exact(transition_matrix(tsetlin_face_weights(w)))
         expected = np.array([luce_pmf(w, p) for p in all_permutations(3)])
+        np.testing.assert_allclose(pi, expected, atol=1e-10)
+
+    def test_n8_matches_luce(self, np_rng):
+        w = normalize(np_rng.uniform(0.2, 2.0, size=8))
+        pi = stationary_exact(transition_matrix(tsetlin_face_weights(w)))
+        expected = np.array([luce_pmf(w, p) for p in all_permutations(8)])
+        np.testing.assert_allclose(pi, expected, atol=1e-9)
+
+    def test_slow_mixing(self):
+        # labels 1 and 2 almost never move to the front: power iteration needs ~2e5 steps
+        w = normalize([1e-4, 3e-4, 1.0, 1.0, 1.0, 1.0])
+        pi = stationary_exact(transition_matrix(tsetlin_face_weights(w)))
+        expected = np.array([luce_pmf(w, p) for p in all_permutations(6)])
         np.testing.assert_allclose(pi, expected, atol=1e-10)
 
     def test_requires_normalized(self):
@@ -431,7 +507,7 @@ class TestRiffleEhrenfest:
         np.testing.assert_allclose(pi, np.full(8, 1 / 8), atol=1e-10)
 
     def test_ehrenfest_one_coordinate_mixes_in_one_step(self):
-        k = transition_matrix(ehrenfest_face_weights(1))
+        k = transition_matrix(ehrenfest_face_weights(1)).toarray()
         np.testing.assert_allclose(k, [[0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("d", [1, 2, 5])

@@ -219,6 +219,14 @@ class TestArrangement:
         assert lookup["++++"] == pytest.approx(lookup["----"], abs=1e-9)
         assert lookup["+-+-"] == 0.0
 
+    def test_stationary_manifest_residual(self, run, tmp_path):
+        code, _, _ = run("arrangement", "stationary", "--model", "riffle", "--dim", "4",
+                         "--tol", "1e-11")
+        assert code == 0
+        tolerances = json.loads((tmp_path / "run_manifest.json").read_text())["tolerances"]
+        assert tolerances["tol"] == 1e-11
+        assert 0.0 <= tolerances["residual"] <= 1e-11
+
     def test_sample_bd(self, run):
         code, out, _ = run("arrangement", "sample-bd", "--model", "ehrenfest",
                            "--dim", "2", "--samples", "4", "--seed", "11",
@@ -359,6 +367,44 @@ class TestManifestAndSeed:
         assert code == 3
         doc = json.loads((tmp_path / "run_manifest.json").read_text())
         assert doc["exit_code"] == 3
+
+    def test_manifest_records_error_class(self, run, tmp_path):
+        assert run("topk", "--weights", "[0.6,0.2,0.2]", "--k", "2")[0] == 3
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["error"] == "PreconditionError" and doc["traceback"] is None
+        assert run("pmf", "--weights", "[1,2]", "--sigma", "1,2")[0] == 0
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["error"] is None
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 12.1 GiB"),
+                                     RuntimeError("two\nlines")])
+    def test_unexpected_exception_exit_4(self, run, tmp_path, monkeypatch, exc):
+        import lucewalks.cli
+
+        def boom(args, rng):
+            raise exc
+
+        monkeypatch.setattr(lucewalks.cli, "_cmd_pmf", boom)
+        code, out, err = run("pmf", "--weights", "[1,2]", "--sigma", "1,2", "--seed", "4")
+        assert code == 4
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "seed: 4" and len(lines) == 2
+        assert lines[1].startswith(f"internal error: {type(exc).__name__}: ")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 4
+        assert doc["error"] == type(exc).__name__
+        assert "in boom" in doc["traceback"]
+        assert doc["seed"] == 4
+
+    def test_keyboard_interrupt_propagates(self, run, monkeypatch):
+        import lucewalks.cli
+
+        def interrupted(args, rng):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lucewalks.cli, "_cmd_pmf", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("pmf", "--weights", "[1,2]", "--sigma", "1,2")
 
     def test_output_dir_env(self, run, tmp_path, monkeypatch):
         outdir = tmp_path / "artifacts"
