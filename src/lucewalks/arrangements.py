@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import Permutation, all_permutations, as_permutation, as_weight_vector, \
-    permutation_rank_many
+from .core import Permutation, as_permutation, as_weight_vector, permutation_rank_many
 from .exceptions import PreconditionError, ToleranceError
 from .rng import RngStream
 
@@ -332,6 +331,8 @@ def walk_step(chain, rng):
 # ---------------------------------------------------------------------------
 
 def _check_enum_size(kind, dim):
+    if dim < 1:
+        raise PreconditionError("dimension must be at least 1")
     if kind == "boolean" and dim > BOOLEAN_ENUM_MAX:
         raise PreconditionError(f"boolean enumeration capped at d={BOOLEAN_ENUM_MAX}")
     if kind == "braid" and dim > BRAID_ENUM_MAX:
@@ -345,9 +346,8 @@ def enumerate_chambers(kind, dim):
     chambers are orderings in lexicographic one-line order.
     """
     _check_enum_size(kind, dim)
-    if kind == "boolean":
-        return [SignVector(row) for row in _chambers_array(kind, dim).tolist()]
-    return all_permutations(dim)
+    chamber = SignVector if kind == "boolean" else Permutation
+    return [chamber(row) for row in _chambers_array(kind, dim).tolist()]
 
 
 def chamber_index(chamber):
@@ -372,16 +372,6 @@ def _chambers_array(kind, dim):
     return np.array(list(itertools.permutations(range(1, dim + 1))), dtype=np.int64)
 
 
-def _project_all_boolean(chambers, entries):
-    return np.where(entries[None, :] != 0, entries[None, :], chambers)
-
-
-def _project_all_braid(chambers, ids):
-    key = ids[chambers - 1]
-    srt = np.argsort(key, axis=1, kind="stable")
-    return np.take_along_axis(chambers, srt, axis=1)
-
-
 def transition_matrix(table):
     """Sparse one-step kernel K[c, c'] over all chambers in canonical order.
 
@@ -399,14 +389,17 @@ def transition_matrix(table):
         raise PreconditionError(
             f"kernel needs {n_ch} chambers x {table.m} faces = {nnz} entries, "
             f"over the cap of {KERNEL_NNZ_MAX}")
-    chambers = _chambers_array(table.kind, table.dim)
     cols = np.empty((n_ch, table.m), dtype=np.int32)
     ent = table.entries_matrix()
+    chambers = _chambers_array(table.kind, table.dim)
+    if table.kind == "boolean":
+        project, rank = kernels.project_signs, _boolean_rank_many
+    else:
+        # Lehmer ranks only compare labels, so 0-based rows rank like 1-based ones
+        chambers = chambers - 1
+        project, rank = kernels.project_orders, permutation_rank_many
     for f in range(table.m):
-        if table.kind == "boolean":
-            cols[:, f] = _boolean_rank_many(_project_all_boolean(chambers, ent[f]))
-        else:
-            cols[:, f] = permutation_rank_many(_project_all_braid(chambers, ent[f]))
+        cols[:, f] = rank(project(chambers, ent[f]))
     data = np.tile(table.weights, n_ch)
     indptr = table.m * np.arange(n_ch + 1, dtype=np.int32)
     k_mat = sp.csr_array((data, cols.ravel(), indptr), shape=(n_ch, n_ch))

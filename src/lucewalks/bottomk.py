@@ -73,29 +73,29 @@ class WeightSequence:
         Optional ``(n_terms, x) -> upper bound on sum_{i > n_terms}
         exp(-theta_i x)``.  Enables certified truncation for custom
         sequences; the named families below carry sharper built-in brackets.
-    family : str or None
-        Registry tag of a built-in family; drives analytic classification
-        and exact tail handling.
-    beta : float or None
-        Scale parameter of the ``log`` family.
+
+    ``family`` and ``beta`` (the ``log`` scale) drive analytic classification
+    and exact tails, so only the built-in constructors set them; else None.
     """
 
     __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache",
                  "_vectorized")
 
-    def __init__(self, evaluator, *, monotone=False, tail_bound=None, family=None, beta=None):
+    def __init__(self, evaluator, *, monotone=False, tail_bound=None):
         self._evaluator = evaluator
         self.monotone = bool(monotone)
         self.tail_bound = tail_bound
-        self.family = family
-        self.beta = beta
+        self.family = None
+        self.beta = None
         self._cache = np.empty(0, dtype=np.float64)
         self._vectorized = False
 
     @classmethod
     def _builtin(cls, evaluator, family, beta=None):
         """A built-in family whose evaluator maps a whole index array at once."""
-        seq = cls(evaluator, monotone=True, family=family, beta=beta)
+        seq = cls(evaluator, monotone=True)
+        seq.family = family
+        seq.beta = beta
         seq._vectorized = True
         return seq
 
@@ -368,8 +368,22 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
 # f and the convergence classifier
 # ---------------------------------------------------------------------------
 
+def _condensation_finite(seq, x):
+    """Cauchy condensation: f(x) counts as finite when, over the first 2^16 weights,
+    the window [2^15, 2^16) sums to less than [2^14, 2^15) (in log space, so
+    large x cannot underflow both to 0).  A heuristic: it resolves x0 to about 2^-15.
+    """
+    prefix = seq.thetas(1 << 16)
+    return logsumexp(-x * prefix[1 << 15:]) < logsumexp(-x * prefix[1 << 14:1 << 15])
+
+
 def f_eval(seq, x, tol=1e-10):
-    """sum_i exp(-theta_i x) within additive ``tol``; inf when divergent."""
+    """sum_i exp(-theta_i x) within additive ``tol``; inf when divergent.
+
+    Without a finite tail bracket the sum is inf when :func:`_condensation_finite`
+    says so, else certified once its windows shrink geometrically, else
+    ``ToleranceError`` after 2^21 terms.
+    """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     x = float(x)
@@ -379,7 +393,6 @@ def f_eval(seq, x, tol=1e-10):
     partial = 0.0
     done = 0
     prev_window = None
-    stalls = 0
     while True:
         th = seq.thetas(n)[done:n]
         window = float(np.exp(-x * th).sum())
@@ -396,12 +409,8 @@ def f_eval(seq, x, tol=1e-10):
                 est = window * q / (1.0 - q)
                 if est <= tol:
                     return partial + 0.5 * est
-            if window > tol and window >= 0.9 * prev_window:
-                stalls += 1
-                if stalls >= 3:
-                    return math.inf
-            else:
-                stalls = 0
+            if not _condensation_finite(seq, x):
+                return math.inf
         prev_window = window
         if n >= _TERMS_MAX:
             raise ToleranceError(f"f_eval could not certify tolerance {tol:g} at x={x:g}")
@@ -458,8 +467,8 @@ def convergence_test(seq):
         raise PreconditionError("convergence_test requires a monotone sequence")
 
     caveat = None if seq.tail_bound is not None else \
-        "no tail bound supplied; classification rests on partial-sum heuristics"
-    prefix = seq.thetas(1 << 16)
+        "no tail bound supplied; classification rests on partial-sum heuristics " \
+        "and x0 is resolved only to about 2^-15"
 
     def is_finite(x):
         if seq.tail_bound is not None:
@@ -469,9 +478,7 @@ def convergence_test(seq):
                     return True
                 n *= 2
             return False
-        # Cauchy condensation: the sum is finite when its dyadic windows
-        # shrink; compared in log space so large x cannot underflow to 0 = 0
-        return logsumexp(-x * prefix[1 << 15:]) < logsumexp(-x * prefix[1 << 14:1 << 15])
+        return _condensation_finite(seq, x)
 
     hi = 1.0
     doublings = 0
@@ -504,7 +511,7 @@ def convergence_test(seq):
 
     # decide f(x0) by raw partial-sum growth at (or just above) zero
     probe = x0 if x0 > 0 else 1e-12
-    partial = float(np.exp(-probe * prefix).sum())
+    partial = float(np.exp(-probe * seq.thetas(1 << 16)).sum())
     f_at_x0 = "infinite" if partial > 1e4 else "finite"
     converges = math.isfinite(x0) and f_at_x0 == "infinite"
     return ConvergenceReport(x0=x0, f_at_x0=f_at_x0, converges=converges,

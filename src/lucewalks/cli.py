@@ -9,11 +9,14 @@ Subcommands::
     converge-test  classify whether the reversed order has a limit law
     arrangement    chamber walks: sim / stationary / sample-bd
 
-Weight specs are an inline JSON list (``'[1,2,3]'``), a file path (JSON list
-or whitespace-separated numbers), or a named family: ``uniform``,
-``sukhatme-asc``, ``sukhatme-desc``, ``zipf`` (vector families, need --n);
-``linear``, ``constant``, ``log``, ``log-loglog`` (sequence families for
-bottom-table / converge-test).  Numbers print with 9 significant digits.
+Weight specs (--weights) are JSON, inline or in a file: a list ``[1,2,3]``,
+``{"weights": [...]}``, or ``{"family": F, "n": N}`` with F ``uniform``,
+``sukhatme`` (``"orientation"``, default descending) or ``zipf`` (exponent
+``"s"``, default 1).  A file may hold whitespace-separated numbers instead.
+The names ``uniform``, ``sukhatme-asc``, ``sukhatme-desc`` and ``zipf``, with
+--n >= 1 and --zipf-s, stand for the object spec.  ``linear``, ``constant``,
+``log`` and ``log-loglog`` are the sequence families of bottom-table and
+converge-test (--family).  Numbers print with 9 significant digits.
 Every run logs its seed to stderr and writes a ``run_manifest.json`` sidecar
 (directory from ``LUCEWALKS_OUTPUT_DIR``, default the working directory).
 
@@ -49,9 +52,6 @@ from .topk import distance_report
 
 __all__ = ["main", "read_csv_text", "read_json_text", "read_jsonl_text",
            "resolve_weight_vector", "resolve_weight_sequence"]
-
-VECTOR_FAMILIES = ("uniform", "sukhatme-asc", "sukhatme-desc", "zipf")
-
 
 class _UsageError(Exception):
     pass
@@ -125,84 +125,70 @@ def read_jsonl_text(text):
 # weight specs
 # ---------------------------------------------------------------------------
 
-def _family_vector(fam, n, orientation, s):
-    """Vector family ``uniform``, ``sukhatme`` or ``zipf`` of size n; None for other names."""
+# a family name given to --weights stands for this object spec plus --n and --zipf-s
+_NAMED_SPECS = {"uniform": {"family": "uniform"}, "zipf": {"family": "zipf"},
+                "sukhatme-asc": {"family": "sukhatme", "orientation": "ascending"},
+                "sukhatme-desc": {"family": "sukhatme", "orientation": "descending"}}
+
+
+def _parse_spec(text, source):
+    """Spec text, inline or from a file: JSON, or whitespace-separated numbers."""
+    text = text.strip()
+    try:
+        if text.startswith(("[", "{")):
+            return json.loads(text)
+        return [float(t) for t in text.split()]
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise PreconditionError(f"weight spec: cannot parse {source}: {e}") from None
+
+
+def _vector_from_spec(spec):
+    """A parsed spec (list, {"weights": ...} or {"family": ..., "n": ...}) as a WeightVector."""
+    if isinstance(spec, list):
+        return WeightVector(spec)
+    if "weights" in spec:
+        return WeightVector(spec["weights"])
+    fam = spec.get("family")
+    if fam is None:
+        raise PreconditionError("weight spec: object needs 'weights' or 'family'")
+    n = spec.get("n")
+    if n is None or int(n) < 1:
+        raise PreconditionError(f"weight spec: family {fam!r} needs n >= 1 (--n), got {n}")
+    n = int(n)
     if fam == "uniform":
         return WeightVector(np.full(n, 1.0 / n))
     if fam == "sukhatme":
-        return sukhatme_weights(n, orientation)
+        return sukhatme_weights(n, spec.get("orientation", "descending"))
     if fam == "zipf":
-        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** float(s))
-    return None
-
-
-def _vector_from_family(name, args):
-    if args.n is None:
-        raise PreconditionError(f"weight spec: family {name!r} needs --n")
-    orientation = {"sukhatme-asc": "ascending", "sukhatme-desc": "descending"}.get(name)
-    w = _family_vector("sukhatme" if orientation else name, int(args.n), orientation,
-                       getattr(args, "zipf_s", 1.0) or 1.0)
-    if w is None:
-        raise PreconditionError(f"weight spec: unknown family {name!r}")
-    return w
-
-
-def _vector_from_object(obj):
-    """The shared JSON-object spec: {"weights": [...]} or {"family": ..., "n": ...}."""
-    if not isinstance(obj, dict):
-        raise PreconditionError("weight spec: JSON object expected")
-    if "weights" in obj:
-        return WeightVector(obj["weights"])
-    fam = obj.get("family")
-    if fam is None:
-        raise PreconditionError("weight spec: object needs 'weights' or 'family'")
-    if "n" not in obj:
-        raise PreconditionError(f"weight spec: family {fam!r} needs 'n'")
-    w = _family_vector(fam, int(obj["n"]), obj.get("orientation", "descending"),
-                       obj.get("s", 1.0))
-    if w is None:
-        raise PreconditionError(f"weight spec: unknown family {fam!r} in object spec")
-    return w
+        s = float(spec.get("s", 1.0))
+        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
+    raise PreconditionError(f"weight spec: unknown family {fam!r}")
 
 
 def resolve_weight_vector(args):
-    """--weights as inline JSON, a readable file, or a vector family name.
+    """--weights as inline JSON, a readable file, or a family name (see the module doc).
 
-    Inline JSON is a bare list ``[1,2,3]`` or an object ``{"weights": [...]}``
-    / ``{"family": "sukhatme", "n": 5, "orientation": "ascending"}``; files
-    hold the same JSON or whitespace-separated numbers.
+    A family name plus ``--n`` (and ``--zipf-s``) is the object spec it names.
     """
     spec = getattr(args, "weights", None)
     if spec is None:
         raise PreconditionError("weight spec: --weights is required")
     s = spec.strip()
-    if s.startswith("[") or s.startswith("{"):
-        try:
-            parsed = json.loads(s)
-        except json.JSONDecodeError as e:
-            raise PreconditionError(f"weight spec: bad inline JSON: {e}") from None
-        w = WeightVector(parsed) if isinstance(parsed, list) else _vector_from_object(parsed)
-    elif s in VECTOR_FAMILIES:
-        w = _vector_from_family(s, args)
-    elif os.path.exists(s):
+    if s in _NAMED_SPECS:
+        parsed = dict(_NAMED_SPECS[s], n=args.n, s=args.zipf_s)
+    elif s.startswith(("[", "{")):
+        parsed = _parse_spec(s, "inline JSON")
+    elif os.path.isfile(s):
         with open(s) as fh:
-            text = fh.read().strip()
-        try:
-            if text.startswith("[") or text.startswith("{"):
-                parsed = json.loads(text)
-                w = WeightVector(parsed) if isinstance(parsed, list) \
-                    else _vector_from_object(parsed)
-            else:
-                w = WeightVector([float(t) for t in text.split()])
-        except (json.JSONDecodeError, ValueError) as e:
-            raise PreconditionError(f"weight spec: cannot parse file {s!r}: {e}") from None
+            parsed = _parse_spec(fh.read(), f"file {s!r}")
     else:
-        raise PreconditionError(
-            f"weight spec: {s!r} is neither inline JSON, a readable file, "
-            f"nor one of {VECTOR_FAMILIES}")
-    if getattr(args, "normalize", False):
-        w = normalize(w)
-    return w
+        raise PreconditionError(f"weight spec: {s!r} is neither inline JSON, a readable "
+                                f"file, nor one of {tuple(_NAMED_SPECS)}")
+    try:
+        w = _vector_from_spec(parsed)
+    except (TypeError, ValueError) as e:
+        raise PreconditionError(f"weight spec: {e}") from None
+    return normalize(w) if getattr(args, "normalize", False) else w
 
 
 def resolve_weight_sequence(args):

@@ -49,7 +49,27 @@ def weighted_order_many(weights, uniforms):
 
 
 # ---------------------------------------------------------------------------
-# reverse-order face projection chains (Boolean arrangement)
+# face projections of chamber rows
+# ---------------------------------------------------------------------------
+
+def project_signs(chambers, faces):
+    """Project (k, d) sign rows onto one (d,) face or (k, d) faces: nonzero entries win."""
+    return np.where(faces != 0, faces, chambers)
+
+
+def project_orders(orders, block_ids):
+    """Project (k, n) 0-based orders onto one (n,) face or (k, n) faces of block ids.
+
+    Each row is stable-sorted by the block id of its labels, so labels
+    sharing a block keep their order.
+    """
+    key = np.take_along_axis(np.broadcast_to(block_ids, orders.shape), orders, axis=1)
+    srt = np.argsort(key, axis=1, kind="stable")
+    return np.take_along_axis(orders, srt, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# reverse-order face projection chains
 # ---------------------------------------------------------------------------
 
 def apply_boolean_reverse(face_entries, orders, reference):
@@ -65,20 +85,9 @@ def apply_boolean_reverse(face_entries, orders, reference):
     -------
     (n_samples, d) int8 array of resulting chambers.
     """
-    entries = np.asarray(face_entries, dtype=np.int8)
-    orders = np.asarray(orders, dtype=np.int64)
-    ref = np.asarray(reference, dtype=np.int8)
-    n_samples, m = orders.shape
-    out = np.repeat(ref[None, :], n_samples, axis=0)
-    for t in range(m - 1, -1, -1):
-        e = entries[orders[:, t]]
-        out = np.where(e != 0, e, out).astype(np.int8)
-    return out
+    return _reverse_chain(project_signs, np.asarray(face_entries, dtype=np.int8), orders,
+                          np.asarray(reference, dtype=np.int8))
 
-
-# ---------------------------------------------------------------------------
-# reverse-order face projection chains (braid arrangement)
-# ---------------------------------------------------------------------------
 
 def apply_braid_reverse(face_block_ids, orders, reference_order):
     """Apply braid face projections in reverse draw order.
@@ -94,14 +103,14 @@ def apply_braid_reverse(face_block_ids, orders, reference_order):
     -------
     (n_samples, n) int64 array of resulting chamber orders.
     """
-    block_ids = np.asarray(face_block_ids, dtype=np.int64)
+    return _reverse_chain(project_orders, np.asarray(face_block_ids, dtype=np.int64), orders,
+                          np.asarray(reference_order, dtype=np.int64))
+
+
+def _reverse_chain(project, faces, orders, reference):
+    """Project ``reference`` onto each row's faces, last drawn first."""
     orders = np.asarray(orders, dtype=np.int64)
-    ref = np.asarray(reference_order, dtype=np.int64)
-    n_samples, m = orders.shape
-    out = np.repeat(ref[None, :], n_samples, axis=0)
-    for t in range(m - 1, -1, -1):
-        bid = block_ids[orders[:, t]]
-        key = np.take_along_axis(bid, out, axis=1)
-        srt = np.argsort(key, axis=1, kind="stable")
-        out = np.take_along_axis(out, srt, axis=1)
+    out = np.repeat(reference[None, :], orders.shape[0], axis=0)
+    for t in range(orders.shape[1] - 1, -1, -1):
+        out = project(out, faces[orders[:, t]])
     return out

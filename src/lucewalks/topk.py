@@ -122,6 +122,15 @@ def d_inf_bound(w, k):
     return -math.expm1(-2.0 * s)
 
 
+def _symmetric_recurrence(weights, k, coef, dtype):
+    """c_k of c_j <- c_j + coef_j theta c_{j-1} over the weights: e_k for coef 1, k! e_k for j."""
+    c = np.zeros(k + 1, dtype=dtype)
+    c[0] = 1.0
+    for th in weights:
+        c[1:] = c[1:] + (coef * th) * c[:-1]
+    return float(c[k])
+
+
 def elementary_symmetric(weights, k):
     """e_k of the weights by the triangular recurrence.
 
@@ -134,12 +143,7 @@ def elementary_symmetric(weights, k):
         raise PreconditionError(f"k must be in 0..{n}")
     if k == 0:
         return 1.0
-    dtype = np.longdouble if n > 1000 else np.float64
-    e = np.zeros(k + 1, dtype=dtype)
-    e[0] = 1.0
-    for th in arr:
-        e[1:] = e[1:] + th * e[:-1]
-    return float(e[k])
+    return _symmetric_recurrence(arr, k, 1, np.longdouble if n > 1000 else np.float64)
 
 
 def tv_exact(w, k):
@@ -152,12 +156,8 @@ def tv_exact(w, k):
     _require_normalized(w)
     if not 1 <= k <= w.n:
         raise PreconditionError(f"k must be in 1..{w.n}")
-    r = np.zeros(k + 1)
-    r[0] = 1.0
-    j_coef = np.arange(1, k + 1, dtype=np.float64)
-    for th in w.weights:
-        r[1:] = r[1:] + (j_coef * th) * r[:-1]
-    tv = 1.0 - float(r[k])
+    tv = 1.0 - _symmetric_recurrence(w.weights, k, np.arange(1, k + 1, dtype=np.float64),
+                                     np.float64)
     if tv < -1e-9:
         raise PreconditionError(f"k! e_k exceeded 1 by {-tv:g}; weights not normalized?")
     return min(max(tv, 0.0), 1.0)

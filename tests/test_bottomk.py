@@ -11,6 +11,7 @@ from lucewalks import (
     DefectiveMassWarning,
     PreconditionError,
     RngStream,
+    ToleranceError,
     WeightSequence,
     constant_weights,
     convergence_test,
@@ -57,6 +58,14 @@ class TestWeightSequence:
         seq = WeightSequence(lambda i: 4.0 - i if i < 4 else i, monotone=True)
         with pytest.raises(PreconditionError):
             seq.thetas(5)
+
+    def test_family_tags_only_from_builtins(self):
+        # a tag would make a custom evaluator be classified and summed as that family
+        for tag in ({"family": "linear"}, {"beta": 2.0}):
+            with pytest.raises(TypeError):
+                WeightSequence(lambda i: 1.0, **tag)
+        assert (WeightSequence(float).family, WeightSequence(float).beta) == (None, None)
+        assert (log_weights(2.0).family, log_weights(2.0).beta) == ("log", 2.0)
 
     def test_families_registered(self):
         assert set(SEQUENCE_FAMILIES) == {"linear", "constant", "log", "log-loglog"}
@@ -320,6 +329,17 @@ class TestSeriesEvaluationTheorem:
         seq = WeightSequence(lambda i: float(i * i), monotone=True)
         brute = sum(math.exp(-(i * i) * 0.3) for i in range(1, 200))
         assert f_eval(seq, 0.3, tol=1e-9) == pytest.approx(brute, abs=1e-8)
+
+    def test_custom_without_bound_slow_decay(self):
+        from scipy.special import zeta
+
+        # sum_i (i+1)^(-1.5x) is finite exactly when x > 2/3
+        seq = WeightSequence(lambda i: 1.5 * math.log(i + 1), monotone=True)
+        assert f_eval(seq, 0.5) == math.inf
+        # zeta(1.05) - 1 ~ 19.58 is finite but too slow to certify from 2^21 terms
+        with pytest.raises(ToleranceError):
+            f_eval(seq, 0.7)
+        assert abs(f_eval(seq, 2.0) - (zeta(3.0) - 1.0)) <= 1e-10
 
 
 class TheoremConvergenceCriterion:

@@ -297,6 +297,34 @@ class TestWeightSpecs:
         assert code == 3
         assert "--n" in err
 
+    def test_zipf_exponent_zero(self, run):
+        # s = 0 is the uniform law, whichever way the spec is written
+        for spec in (("zipf", "--n", "2", "--zipf-s", "0"), ('{"family":"zipf","n":2,"s":0}',)):
+            code, out, _ = run("pmf", "--weights", *spec, "--sigma", "1,2")
+            assert code == 0
+            assert read_json_text(out)["pmf"] == 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--weights", "uniform", "--n", "0", "--sigma", "1"),
+        ("sample", "--weights", "uniform", "--n", "-2", "--n-samples", "4"),
+        ("pmf", "--weights", '{"family":"uniform","n":0}', "--sigma", "1"),
+        ("pmf", "--weights", '{"family":"zipf","n":-1}', "--sigma", "1"),
+    ])
+    def test_family_size_below_one_exit_3(self, run, tmp_path, argv):
+        code, _, err = run(*argv)
+        assert code == 3
+        assert "n >= 1" in err
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["error"] == "PreconditionError" and doc["traceback"] is None
+
+    def test_bad_entries_exit_3_inline_and_file(self, run, tmp_path):
+        wfile = tmp_path / "w.json"
+        wfile.write_text('["a"]')
+        for spec in ('["a"]', str(wfile), str(tmp_path)):
+            code, _, err = run("pmf", "--weights", spec, "--sigma", "1")
+            assert code == 3
+            assert "weight spec" in err
+
     def test_files_closed(self, run, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text("1 2 3\n")
