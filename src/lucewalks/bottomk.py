@@ -20,10 +20,12 @@ one-dimensional integral
     integral_0^inf theta_{a_k} e^{-T_k x} prod_{i not in a}(1 - e^{-theta_i x}) dx
 
 with T_m = theta_{a_1} + ... + theta_{a_m}, evaluated here after the
-substitution y = e^{-x} by adaptive Gauss-Kronrod quadrature.  The infinite
-survival product is evaluated in log space with certified tail brackets per
-weight family, and an importance-sampling Monte Carlo estimator is provided
-as an independent cross-check.
+substitution y = e^{-x} by adaptive Gauss-Kronrod quadrature.  The log of
+the survival product is a head of terms summed directly plus the tail
+-sum_m S_n(m x) / m, where S_n(x) = sum_{i > n} e^{-theta_i x} is the tail of
+f itself: each weight family writes one certified bracket of S_n, read by
+both f and this order sum.  An importance-sampling Monte Carlo estimator is
+provided as an independent cross-check.
 """
 
 import math
@@ -55,7 +57,6 @@ __all__ = [
 
 LOG_PRODUCT_FLOOR = -700.0  # survival products below e^-700 are flushed to zero
 _TERMS_MAX = 1 << 21
-_DIVERGENT = (math.inf, math.inf)
 
 
 class WeightSequence:
@@ -185,8 +186,8 @@ _DE_T = np.arange(-160, 161) / 32.0
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_T))
 _DE_WEIGHTS = _DE_NODES * np.cosh(_DE_T) * (0.5 * np.pi / 32.0)
 
-_SERIES_ORDERS = 3  # orders of -log(1-u) = sum_m u^m/m bracketed one by one
 _HEAD_BLOCK = 1 << 18  # (node, term) pairs summed per numpy call
+_FIRST_ORDERS = np.arange(1.0, 5.0)  # orders 1..3 of the log-survival tail, and the fold's 4
 
 
 def _loglog_tail_integral(y, a):
@@ -202,122 +203,83 @@ def _loglog_tail_integral(y, a):
     return (scale * integrand @ _DE_WEIGHTS[:, None])[..., 0]
 
 
-def _log_family_tail(seq, q, x):
-    """Tail data of the ``log`` and ``log-loglog`` families for an array x.
+def _exp_sum_tail(seq, n_terms, x):
+    """Bracket (lo, hi) of S(x) = sum_{i > n_terms} exp(-theta_i x), elementwise over an array x.
 
-    Returns ``(ok, g_q, integral)``: ``ok`` masks the x at which the tail
-    converges (beta x > 1, or x >= 1); for those x, with g(k) = e^{-theta_i x}
-    written in k = i + 1, ``g_q`` is g(q) and ``integral(m, a)`` is
-    integral_a^inf g^m.  The terms i > n lie at k >= q = n + 2.
+    The only code that knows a family's tail.  ``linear`` is the geometric sum
+    itself.  The ``log`` families write theta_i in k = i + 1, so the terms are
+    g(k) for k >= q = n_terms + 2, g convex and decreasing; S lies between the
+    trapezoid bound integral_q^inf g + g(q)/2 and the midpoint bound
+    integral_{q-1/2}^inf g (q - 1/2 > e for log-loglog).  (inf, inf) means S
+    diverges; a custom sequence gives (0, tail_bound), or (0, inf) without one.
     """
-    if seq.family == "log":
-        ok = seq.beta * x > 1.0
-        s = seq.beta * x[ok]
-        return ok, q ** -s, lambda m, a: a ** (1.0 - m * s) / (m * s - 1.0)
-    ok = x >= 1.0
-    v = x[ok]
-    return (ok, q ** -v * math.log(q) ** (-2.0 * v),
-            lambda m, a: _loglog_tail_integral(m * v, a))
-
-
-def _tail_exp_sum_bracket(seq, n_terms, x):
-    """Bracket (lo, hi) of sum_{i > n_terms} exp(-theta_i x).
-
-    Returns ``(inf, inf)`` when the tail provably diverges and None when the
-    sequence carries no usable tail information.  The log families use the
-    m = 1 trapezoid and midpoint bounds of :func:`_second_order_tail`.
-    """
-    if seq.family == "linear":
-        q = math.exp(-x)
-        v = math.exp(-(n_terms + 1) * x) / (1.0 - q) if x > 0 else math.inf
-        if x <= 0:
-            return _DIVERGENT
-        return (v, v)
+    x = np.asarray(x, dtype=np.float64)
+    q = n_terms + 2.0
+    with np.errstate(divide="ignore"):
+        if seq.family == "linear":
+            # a zero denominator at x <= 0 makes S infinite
+            s = np.exp(-(n_terms + 1) * x) / np.maximum(-np.expm1(-x), 0.0)
+            return s, s
+        if seq.family == "log":
+            # integral_a^inf k^-s dk = a^-e / e with e = s - 1, infinite for e <= 0
+            s = seq.beta * x
+            e = np.maximum(s - 1.0, 0.0)
+            return q ** -e / e + 0.5 * q ** -s, (q - 0.5) ** -e / e
+    if seq.family == "log-loglog":
+        lo, hi = np.full(x.shape, math.inf), np.full(x.shape, math.inf)
+        ok = x >= 1.0
+        v = x[ok]
+        lo[ok] = _loglog_tail_integral(v, q) + 0.5 * q ** -v * math.log(q) ** (-2.0 * v)
+        hi[ok] = _loglog_tail_integral(v, q - 0.5)
+        return lo, hi
     if seq.family == "constant":
-        return _DIVERGENT
-    if seq.family in ("log", "log-loglog"):
-        q = n_terms + 2.0
-        ok, g_q, integral = _log_family_tail(seq, q, np.array([float(x)]))
-        if not ok[0]:
-            return _DIVERGENT
-        return (float(integral(1.0, q)[0] + 0.5 * g_q[0]), float(integral(1.0, q - 0.5)[0]))
-    if seq.tail_bound is not None:
-        hi = float(seq.tail_bound(n_terms, x))
-        if math.isinf(hi):
-            return None
-        return (0.0, hi)
-    return None
+        return np.full(x.shape, math.inf), np.full(x.shape, math.inf)
+    hi = np.full(x.shape, math.inf) if seq.tail_bound is None else \
+        np.reshape([float(seq.tail_bound(n_terms, v)) for v in x.flat], x.shape)
+    return np.zeros(x.shape), hi
 
 
-def _linear_tail_log_survival(n_terms, x):
-    """Exact sum_{i > n_terms} log(1 - e^{-ix}) via the geometric m-series.
-
-    Equals -sum_m (1/m) e^{-m(n_terms+1)x} / (1 - e^{-mx}) for each entry of
-    the array ``x``.  Orders are summed in blocks of growing length; an entry
-    stops once its newest term falls below machine noise or its running total
-    guarantees the survival product flushes to zero anyway.
-    """
-    acc = np.zeros(x.shape)
-    live = np.arange(x.size)
-    m0, width = 1, 16
-    while live.size and m0 < 100000:
-        m = np.arange(m0, m0 + width, dtype=np.float64)
-        xl = x[live, None]
-        terms = np.exp(-m * (n_terms + 1) * xl) / (m * -np.expm1(-m * xl))
-        total = acc[live] + terms.sum(axis=1)
-        acc[live] = total
-        live = live[(terms[:, -1] >= 1e-18 * total) & (total <= 800.0)]
-        m0, width = m0 + width, 4 * width
-    return -acc
+def _order_block(seq, n_terms, x, r, m):
+    """Orders m[:-1] of sum_m S(m x) / m, bracketed, and the fold of the orders from m[-1] on."""
+    s_lo, s_hi = _exp_sum_tail(seq, n_terms, x[:, None] * m)
+    w = 1.0 / m[:-1]
+    return np.dot(s_lo[:, :-1], w), np.dot(s_hi[:, :-1], w), s_hi[:, -1] / (m[-1] * (1.0 - r))
 
 
-def _second_order_tail(integral, g_q, q):
-    """Bracket (lo, hi) of sum_{k >= q} log(1 - g(k)) for g convex, decreasing, g < 1.
-
-    -log(1 - u) = sum_m u^m / m, and every g^m is convex and decreasing, so
-    its sum over k >= q lies between the trapezoid bound
-    integral_q^inf g^m + g(q)^m / 2 and the midpoint bound
-    integral_{q-1/2}^inf g^m.  Orders above ``_SERIES_ORDERS`` are folded
-    into the upper side through u^m <= u^(M+1) r^(m-M-1) with r = g(q).
-    ``integral(m, a)`` returns integral_a^inf g^m for an order column ``m``.
-    """
-    m = np.arange(1.0, _SERIES_ORDERS + 1.0)[:, None]
-    top = _SERIES_ORDERS + 1.0
-    lo_mag = ((integral(m, q) + 0.5 * g_q ** m) / m).sum(axis=0)
-    hi_mag = ((integral(m, q - 0.5) / m).sum(axis=0)
-              + integral(top, q - 0.5) / (top * (1.0 - g_q)))
-    return -hi_mag, -lo_mag
+def _needs_orders(lo_mag, hi_mag, fold):
+    return (fold > np.maximum(hi_mag - lo_mag, 1e-18 * hi_mag)) & (hi_mag <= 800.0)
 
 
 def _tail_log_survival(seq, n_terms, x):
     """Bracket (lo, hi) of sum_{i > n_terms} log(1 - e^{-theta_i x}) for an array x.
 
-    Entries are (-inf, -inf) where the tail provably diverges and (-inf, 0)
-    where the sequence carries no usable tail information yet.
+    -log(1 - u) = sum_m u^m / m turns the tail into -sum_m S(m x) / m, with S
+    bracketed by :func:`_exp_sum_tail`.  The orders from M on are at most
+    S_hi(M x) / (M (1 - r)), with r = e^{-theta_{n+1} x} the largest tail
+    term, and that fold is added to the upper magnitude.
+    Orders 1..3 are summed for every entry, then blocks m0 <= m < 4 m0 = M
+    for the entries whose fold is above the width of their summed bracket and
+    above 1e-18 of its total, while the total stays below 800 (past that the
+    product flushes to zero).  (-inf, -inf) means the tail diverges and
+    (-inf, 0) that nothing is known of it; such a tail counts as zero once r
+    is negligible.
     """
-    lo = np.full(x.shape, -math.inf)
-    hi = lo.copy()
-    if seq.family == "linear":
-        ok = x > 0.0
-        lo[ok] = hi[ok] = _linear_tail_log_survival(n_terms, x[ok])
-    elif seq.family in ("log", "log-loglog"):
-        q = n_terms + 2.0
-        ok, g_q, integral = _log_family_tail(seq, q, x)
-        lo[ok], hi[ok] = _second_order_tail(integral, g_q, q)
-    elif seq.family != "constant":
-        # custom: first-order bracket from the tail bound; the m >= 2 terms of
-        # the -log(1-u) expansions are folded into the upper magnitude via
-        # u^m <= u r^(m-1).  Without a bound the tail counts as zero once the
-        # newest head term is negligible.
-        br = [_tail_exp_sum_bracket(seq, n_terms, v) for v in x]
-        s_hi = np.array([math.inf if b is None else b[1] for b in br])
-        s_lo = np.array([0.0 if b is None else b[0] for b in br])
-        r = np.exp(-seq.theta(n_terms + 1) * x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = np.where(r < 1.0, -s_hi * (1.0 + r / (2.0 * (1.0 - r))), -math.inf)
-        hi = -s_lo
-        negligible = np.isinf(s_hi) & (np.exp(-seq.theta(n_terms) * x) < 1e-18)
-        lo[negligible] = 0.0
+    r = np.exp(-seq.theta(n_terms + 1) * x)
+    m = _FIRST_ORDERS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo_mag, hi_mag, fold = _order_block(seq, n_terms, x, r, m)
+        more = _needs_orders(lo_mag, hi_mag, fold)
+        if more.any():
+            live = np.flatnonzero(more)
+            while live.size and m[-1] < 1 << 16:
+                m = np.arange(m[-1], 4.0 * m[-1] + 1.0)
+                d_lo, d_hi, fold[live] = _order_block(seq, n_terms, x[live], r[live], m)
+                lo_mag[live] += d_lo
+                hi_mag[live] += d_hi
+                live = live[_needs_orders(lo_mag[live], hi_mag[live], fold[live])]
+    lo, hi = -(hi_mag + fold), -lo_mag
+    if np.isinf(lo).any():
+        lo[np.isinf(lo) & (hi == 0.0) & (r < 1e-18)] = 0.0
     return lo, hi
 
 
@@ -335,7 +297,7 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
     ``x`` is an array of nodes; returns arrays (lo, hi).  (-inf, -inf) means
     the product is exactly zero: the underlying sum diverges or the product
     is certainly below e^-700.  The head is summed directly and doubled until
-    the family tail bracket is narrower than ``rel_tol``; out of budget, the
+    the tail bracket is narrower than ``rel_tol``; out of budget, the
     widest honest bracket is returned instead of a silently tightened one.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -398,12 +360,12 @@ def f_eval(seq, x, tol=1e-10):
         window = float(np.exp(-x * th).sum())
         partial += window
         done = n
-        br = _tail_exp_sum_bracket(seq, n, x)
-        if br == _DIVERGENT:
+        lo, hi = map(float, _exp_sum_tail(seq, n, x))
+        if lo == math.inf:
             return math.inf
-        if br is not None and br[1] - br[0] <= tol and math.isfinite(br[1]):
-            return partial + 0.5 * (br[0] + br[1])
-        if br is None and prev_window is not None:
+        if hi - lo <= tol:
+            return partial + 0.5 * (lo + hi)
+        if hi == math.inf and prev_window is not None:
             if window <= tol / 4.0 and window < 0.5 * prev_window:
                 q = window / prev_window
                 est = window * q / (1.0 - q)
@@ -421,19 +383,21 @@ def f_eval(seq, x, tol=1e-10):
 class ConvergenceReport:
     """Outcome of the reversed-order convergence test.
 
-    ``converges`` is true exactly when x0 is finite and f(x0) is infinite.
+    ``converges`` is true exactly when x0 is finite and f(x0) is infinite,
+    and None when f(x0) is ``"undetermined"``.
     """
 
     x0: float
     f_at_x0: str
-    converges: bool
+    converges: bool | None
     method: str
     caveat: str | None = None
 
     def __post_init__(self):
-        if self.f_at_x0 not in ("finite", "infinite"):
-            raise PreconditionError("f_at_x0 must be 'finite' or 'infinite'")
-        expected = math.isfinite(self.x0) and self.f_at_x0 == "infinite"
+        if self.f_at_x0 not in ("finite", "infinite", "undetermined"):
+            raise PreconditionError("f_at_x0 must be 'finite', 'infinite' or 'undetermined'")
+        expected = None if self.f_at_x0 == "undetermined" else \
+            math.isfinite(self.x0) and self.f_at_x0 == "infinite"
         if self.converges != expected:
             raise PreconditionError("converges flag inconsistent with x0 / f(x0)")
 
@@ -471,13 +435,8 @@ def convergence_test(seq):
         "and x0 is resolved only to about 2^-15"
 
     def is_finite(x):
-        if seq.tail_bound is not None:
-            n = 64
-            while n <= _TERMS_MAX:
-                if math.isfinite(float(seq.tail_bound(n, x))):
-                    return True
-                n *= 2
-            return False
+        if seq.tail_bound is not None:  # a finite bound at any n = 64 .. 2^21
+            return any(math.isfinite(_exp_sum_tail(seq, 64 << j, x)[1]) for j in range(16))
         return _condensation_finite(seq, x)
 
     hi = 1.0
@@ -509,12 +468,12 @@ def convergence_test(seq):
                 lo = mid
         x0 = 0.5 * (lo + hi)
 
-    # decide f(x0) by raw partial-sum growth at (or just above) zero
+    # f(x0) is infinite when the first 2^16 terms at (or just above) x0 already
+    # pass 1e4; a smaller prefix sum cannot tell a finite f(x0) from a slow one
     probe = x0 if x0 > 0 else 1e-12
-    partial = float(np.exp(-probe * seq.thetas(1 << 16)).sum())
-    f_at_x0 = "infinite" if partial > 1e4 else "finite"
-    converges = math.isfinite(x0) and f_at_x0 == "infinite"
-    return ConvergenceReport(x0=x0, f_at_x0=f_at_x0, converges=converges,
+    infinite = float(np.exp(-probe * seq.thetas(1 << 16)).sum()) > 1e4
+    return ConvergenceReport(x0=x0, f_at_x0="infinite" if infinite else "undetermined",
+                             converges=True if infinite else None,
                              method="numeric-best-effort", caveat=caveat)
 
 

@@ -309,44 +309,37 @@ def _chamber_text(kind, chamber):
 def _build_face_table(args):
     model = args.model
     if model == "tsetlin":
-        kind = "braid"
-        table = tsetlin_face_weights(resolve_weight_vector(args))
-    elif model == "riffle":
-        kind = "braid"
+        return tsetlin_face_weights(resolve_weight_vector(args))
+    if model == "riffle":
         if args.dim is None:
             raise PreconditionError("--dim is required for the riffle model")
-        table = riffle_face_weights(args.dim)
-    elif model == "ehrenfest":
-        kind = "boolean"
+        return riffle_face_weights(args.dim)
+    if model == "ehrenfest":
         if args.dim is None:
             raise PreconditionError("--dim is required for the ehrenfest model")
-        table = ehrenfest_face_weights(args.dim)
-    elif model == "coloring":
-        kind = "boolean"
+        return ehrenfest_face_weights(args.dim)
+    if model == "coloring":
         if args.graph is None:
             raise PreconditionError("--graph is required for the coloring model")
-        edges = _read_edge_list(args.graph)
-        table = graph_coloring_face_weights(edges)
-    else:
-        raise PreconditionError(f"unknown model {model!r}")
-    if args.kind is not None and args.kind != kind:
-        raise PreconditionError(f"model {model!r} lives on the {kind} arrangement")
-    return table
+        return graph_coloring_face_weights(_read_edge_list(args.graph))
+    raise PreconditionError(f"unknown model {model!r}")
 
 
 def _read_edge_list(path):
-    if not os.path.exists(path):
-        raise PreconditionError(f"graph file {path!r} not found")
+    if not os.path.isfile(path):
+        raise PreconditionError(f"graph file {path!r} not found or not a file")
     edges = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise PreconditionError(f"graph file: bad line {line!r} (want 'u v')")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, v = map(int, line.split())
+            except ValueError:  # not two fields, or not integers
+                raise PreconditionError(f"graph file: bad line {line!r} (want 'u v', "
+                                        f"two integers)") from None
+            edges.append((u, v))
     return edges
 
 
@@ -460,7 +453,6 @@ def build_parser():
     asub = p.add_subparsers(dest="action", required=True)
     for action in ("sim", "stationary", "sample-bd"):
         q = asub.add_parser(action)
-        q.add_argument("--kind", choices=("boolean", "braid"), default=None)
         q.add_argument("--model", required=True,
                        choices=("tsetlin", "riffle", "ehrenfest", "coloring"))
         _add_weight_opts(q)

@@ -1,6 +1,7 @@
 """Bottom-of-the-deck limits: convergence classification and the limiting pmf."""
 
 import itertools
+import json
 import math
 import warnings
 
@@ -129,23 +130,23 @@ class TestTailBounds:
     @pytest.mark.parametrize("name", ["linear", "log", "log-loglog"])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.5])
     def test_bracket_contains_continuation(self, name, x):
-        from lucewalks.bottomk import _tail_exp_sum_bracket
+        from lucewalks.bottomk import _exp_sum_tail
 
         seq = SEQUENCE_FAMILIES[name]() if name != "log" else log_weights(1.0)
         if name == "log-loglog" and x < 1.0:
             return  # divergent regime, bracket is (inf, inf)
         n = 256
-        lo, hi = _tail_exp_sum_bracket(seq, n, x)
+        lo, hi = _exp_sum_tail(seq, n, x)
         th = seq.thetas(16 * n)
         partial = float(np.exp(-th[n:] * x).sum())
         assert partial <= hi + 1e-12
-        _, hi_far = _tail_exp_sum_bracket(seq, 16 * n, x)
+        _, hi_far = _exp_sum_tail(seq, 16 * n, x)
         assert lo <= partial + hi_far + 1e-12
 
     def test_constant_divergent(self):
-        from lucewalks.bottomk import _tail_exp_sum_bracket
+        from lucewalks.bottomk import _exp_sum_tail
 
-        lo, hi = _tail_exp_sum_bracket(constant_weights(), 64, 1.0)
+        lo, hi = _exp_sum_tail(constant_weights(), 64, 1.0)
         assert math.isinf(lo) and math.isinf(hi)
 
     def test_custom_bound_respected(self):
@@ -243,7 +244,7 @@ class TestSecondOrderTails:
         assert float(_loglog_tail_integral(y, a)) == pytest.approx(ref, rel=1e-12)
 
     def test_linear_series_matches_scalar_loop(self):
-        from lucewalks.bottomk import _linear_tail_log_survival
+        from lucewalks.bottomk import _tail_log_survival
 
         def one_term_at_a_time(n, x):
             acc = 0.0
@@ -257,11 +258,11 @@ class TestSecondOrderTails:
         x = np.geomspace(1e-3, 50.0, 200)
         for n in (32, 1000):
             want = np.array([one_term_at_a_time(n, v) for v in x])
-            got = _linear_tail_log_survival(n, x)
             # past -800 both stop early: the survival product flushes to zero
             flushed = want < -800.0
-            assert np.all(got[flushed] < -800.0)
-            np.testing.assert_allclose(got[~flushed], want[~flushed], rtol=1e-14, atol=0.0)
+            for got in _tail_log_survival(linear_weights(), n, x):
+                assert np.all(got[flushed] < -800.0)
+                np.testing.assert_allclose(got[~flushed], want[~flushed], rtol=1e-14, atol=0.0)
 
     def test_divergent_and_vectorized(self):
         from lucewalks.bottomk import _tail_log_survival
@@ -395,6 +396,15 @@ class TestConvergenceCriterionTheorem:
         # constant weights never give a finite sum, however large x is
         assert math.isinf(classify(lambda i: 1.0).x0)
 
+    def test_custom_slow_divergence_undetermined(self):
+        # x0 = 2/3 and f(x0) = sum 1/(i+1) = inf, but 2^16 terms only reach about 11
+        rep = convergence_test(WeightSequence(lambda i: 1.5 * math.log(i + 1), monotone=True))
+        assert rep.f_at_x0 == "undetermined" and rep.converges is None
+        assert rep.to_dict()["converges"] is None
+        # a prefix past 1e4 still decides f(x0) infinite
+        rep = convergence_test(WeightSequence(lambda i: float(i), monotone=True))
+        assert rep.f_at_x0 == "infinite" and rep.converges is True
+
     def test_non_monotone_custom_rejected(self):
         seq = WeightSequence(lambda i: float(i % 3 + 1))
         with pytest.raises(PreconditionError):
@@ -407,6 +417,16 @@ class TestConvergenceCriterionTheorem:
             ConvergenceReport(
                 x0=math.inf, f_at_x0="infinite", converges=True, method="analytic", caveat=None
             )
+
+    def test_report_undetermined_invariant(self):
+        from lucewalks import ConvergenceReport
+
+        ok = ConvergenceReport(x0=0.5, f_at_x0="undetermined", converges=None,
+                               method="numeric-best-effort")
+        assert json.loads(json.dumps(ok.to_dict()))["converges"] is None
+        for f_at, flag in (("undetermined", False), ("undetermined", True), ("finite", None)):
+            with pytest.raises(PreconditionError):
+                ConvergenceReport(x0=0.5, f_at_x0=f_at, converges=flag, method="analytic")
 
     def test_report_to_dict(self):
         d = convergence_test(constant_weights()).to_dict()

@@ -240,11 +240,13 @@ class TestArrangement:
                 "--weights", "[0.5,0.3,0.2]", "--samples", "20", "--seed", "13")
         assert run(*args) == run(*args)
 
-    def test_kind_mismatch_exit_3(self, run):
-        code, _, err = run("arrangement", "sim", "--kind", "boolean",
+    def test_kind_flag_is_usage_error(self, run, tmp_path):
+        # the model fixes the arrangement kind, so there is no --kind to pass
+        code, out, _ = run("arrangement", "sim", "--kind", "braid",
                            "--model", "tsetlin", "--weights", "[0.5,0.5]",
                            "--steps", "1")
-        assert code == 3
+        assert code == 1 and out == ""
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 1
 
     def test_bad_graph_exit_3(self, run, tmp_path):
         graph = tmp_path / "bad.txt"
@@ -252,6 +254,22 @@ class TestArrangement:
         code, _, err = run("arrangement", "stationary", "--model", "coloring",
                            "--graph", str(graph))
         assert code == 3
+
+    def _assert_precondition_exit(self, run, tmp_path, graph):
+        code, out, err = run("arrangement", "stationary", "--model", "coloring",
+                             "--graph", graph)
+        assert (code, out) == (3, "")
+        assert "precondition error: graph file" in err
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["traceback"] is None
+
+    def test_graph_non_integer_token_exit_3(self, run, tmp_path):
+        graph = tmp_path / "letters.txt"
+        graph.write_text("1 2\na b\n")
+        self._assert_precondition_exit(run, tmp_path, str(graph))
+
+    def test_graph_directory_exit_3(self, run, tmp_path):
+        self._assert_precondition_exit(run, tmp_path, str(tmp_path))
 
 
 class TestWeightSpecs:
@@ -480,13 +498,24 @@ class TestConsoleEntry:
         assert json.loads(proc.stdout)["pmf"] == pytest.approx(1 / 3, abs=1e-9)
         assert "seed:" in proc.stderr
 
-    def test_console_script_if_installed(self, tmp_path):
+    def test_console_script(self, tmp_path, child_env):
         import shutil
+        import tomllib
+        from pathlib import Path
 
+        import lucewalks
+
+        # the [project.scripts] target runs whether or not the package is installed
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lucewalks"]
+        module, func = target.split(":")
+        runs = [[sys.executable, "-c", f"import sys; from {module} import {func}; "
+                                       f"sys.exit({func}())", "--version"]]
         exe = shutil.which("lucewalks")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run(
-            [exe, "--version"], capture_output=True, text=True, cwd=tmp_path
-        )
-        assert proc.returncode == 0
+        if exe is not None:
+            runs.append([exe, "--version"])
+        for argv in runs:
+            proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
+                                  env=child_env)
+            assert proc.returncode == 0
+            assert proc.stdout.strip() == lucewalks.__version__
