@@ -80,7 +80,7 @@ class WeightSequence:
     """
 
     __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache",
-                 "_vectorized")
+                 "_spare", "_vectorized")
 
     def __init__(self, evaluator, *, monotone=False, tail_bound=None):
         self._evaluator = evaluator
@@ -89,6 +89,7 @@ class WeightSequence:
         self.family = None
         self.beta = None
         self._cache = np.empty(0, dtype=np.float64)
+        self._spare = (0, 0.0)
         self._vectorized = False
 
     @classmethod
@@ -100,6 +101,20 @@ class WeightSequence:
         seq._vectorized = True
         return seq
 
+    def _fresh(self, lo, hi):
+        """Checked weights for indices lo+1..hi, evaluated now and not cached."""
+        if self._vectorized:
+            new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
+                             dtype=np.float64)
+        else:
+            new = np.array([self._evaluator(i) for i in range(lo + 1, hi + 1)],
+                           dtype=np.float64)
+        if np.any(new <= 0.0) or not np.all(np.isfinite(new)):
+            raise PreconditionError("sequence weights must be strictly positive and finite")
+        if self.monotone and np.any(np.diff(np.concatenate([self._cache[lo - 1:lo], new])) < -1e-12):
+            raise PreconditionError("sequence declared monotone but weights decrease")
+        return new
+
     def thetas(self, n):
         """Weights for indices 1..n as an array (cached).
 
@@ -109,24 +124,25 @@ class WeightSequence:
         """
         lo = self._cache.size
         if n > lo:
-            hi = max(n, 2 * lo)
-            if self._vectorized:
-                new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
-                                 dtype=np.float64)
-            else:
-                new = np.array([self._evaluator(i) for i in range(lo + 1, hi + 1)],
-                               dtype=np.float64)
-            if np.any(new <= 0.0) or not np.all(np.isfinite(new)):
-                raise PreconditionError("sequence weights must be strictly positive and finite")
-            if self.monotone and np.any(np.diff(np.concatenate([self._cache[-1:], new])) < -1e-12):
-                raise PreconditionError("sequence declared monotone but weights decrease")
-            self._cache = np.concatenate([self._cache, new])
+            self._cache = np.concatenate([self._cache, self._fresh(lo, max(n, 2 * lo))])
         return self._cache[:n]
 
     def theta(self, i):
         if i < 1:
             raise PreconditionError("indices are 1-based")
         return float(self.thetas(i)[i - 1])
+
+    def _peek(self, i):
+        """theta_i without growing the cache: the one weight past a summed head.
+
+        The last index read past the cache is kept as ``_spare``, since a
+        quadrature reads the same theta_{n+1} at every node.
+        """
+        if i <= self._cache.size:
+            return float(self._cache[i - 1])
+        if self._spare[0] != i:
+            self._spare = (i, float(self._fresh(i - 1, i)[0]))
+        return self._spare[1]
 
     def __repr__(self):
         tag = self.family or "custom"
@@ -264,7 +280,7 @@ def _tail_log_survival(seq, n_terms, x):
     (-inf, 0) that nothing is known of it; such a tail counts as zero once r
     is negligible.
     """
-    r = np.exp(-seq.theta(n_terms + 1) * x)
+    r = np.exp(-seq._peek(n_terms + 1) * x)
     m = _FIRST_ORDERS
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_mag, hi_mag, fold = _order_block(seq, n_terms, x, r, m)

@@ -102,6 +102,19 @@ class TestWeightSequence:
         assert calls == list(range(1, len(calls) + 1))
         assert 1000 <= len(calls) <= 2000
 
+    def test_tail_read_leaves_cache_at_head(self):
+        # the survival tail reads theta_{n+1}; that read must not double the cache
+        seq = log_weights(2.0)
+        limit_bottom_pmf(seq, (1,), tol=1e-6)
+        assert seq._cache.size <= 16384 + 1  # the head of 2^14 terms, and theta_{n+1}
+
+        from lucewalks.bottomk import _tail_log_survival
+
+        seq = WeightSequence(lambda i: 2.0 * math.log(i + 1), monotone=True)
+        seq.thetas(64)
+        _tail_log_survival(seq, 64, np.array([1.0, 2.0]))
+        assert seq._cache.size <= 65
+
 
 class TestFamilies:
     def test_linear(self):

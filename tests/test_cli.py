@@ -499,15 +499,17 @@ class TestConsoleEntry:
         assert "seed:" in proc.stderr
 
     def test_console_script(self, tmp_path, child_env):
+        import re
         import shutil
-        import tomllib
         from pathlib import Path
 
         import lucewalks
 
-        # the [project.scripts] target runs whether or not the package is installed
+        # the [project.scripts] target runs whether or not the package is installed;
+        # read with a regex, since tomllib is 3.11+ and the package supports 3.10
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lucewalks"]
+        scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        target = re.search(r'^lucewalks\s*=\s*"([^"]+)"\s*$', scripts, re.M).group(1)
         module, func = target.split(":")
         runs = [[sys.executable, "-c", f"import sys; from {module} import {func}; "
                                        f"sys.exit({func}())", "--version"]]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lucewalks import (
     DistanceReport,
     PreconditionError,
+    RngStream,
     collision_lambda,
     d_inf_bound,
     d_inf_exact,
@@ -19,6 +20,7 @@ from lucewalks import (
     normalize,
     prefix_prob_p,
     prefix_prob_q,
+    sample_exponential_many,
     sukhatme_weights,
     tv_exact,
     tv_poisson_approx,
@@ -184,6 +186,34 @@ class TestBirthdayIdentityTheorem:
             w = random_simplex(np_rng, n)
             k = int(np_rng.integers(1, min(n, 4) + 1))
             assert tv_exact(w, k) <= d_inf_exact(w, k) + 1e-12
+
+
+class TestMonteCarloRoutes:
+    """The top-k law sampled, z-scored against the exact values at |z| <= 4."""
+
+    @staticmethod
+    def z(hits, size, p):
+        return (hits - size * p) / math.sqrt(size * p * (1.0 - p))
+
+    @pytest.mark.parametrize("n,k", [(30, 5), (3077, 60)])
+    def test_collision_frequency_is_tv(self, n, k):
+        # birthday identity: TV is the chance that k i.i.d. draws repeat a label;
+        # n = 3077 runs the blocked recurrence
+        w = normalize(np.random.default_rng(n).uniform(0.5, 2.0, n)).weights
+        size = 20_000
+        u = RngStream(20260901).random((size, k))
+        draws = np.sort(np.minimum(np.searchsorted(np.cumsum(w), u, side="right"), n - 1), axis=1)
+        hits = int(np.count_nonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1)))
+        assert abs(self.z(hits, size, tv_exact(w, k))) <= 4.0
+
+    def test_exponential_prefix_frequencies(self):
+        w = normalize([3.0, 1.0, 2.0, 0.5, 1.5, 2.5])
+        size = 40_000
+        rows = sample_exponential_many(w, size, RngStream(20260902))
+        for prefix in ((1,), (4,), (3, 6), (2, 4), (1, 3, 6), (6, 5, 4), (4, 2, 5, 1)):
+            k = len(prefix)
+            hits = int(np.count_nonzero((rows[:, :k] == np.asarray(prefix)).all(axis=1)))
+            assert abs(self.z(hits, size, prefix_prob_p(w, prefix))) <= 4.0, prefix
 
 
 class TestElementarySymmetric:
