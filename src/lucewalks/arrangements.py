@@ -27,9 +27,9 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import Permutation, as_permutation, as_weight_vector, permutation_rank_many
+from .core import (Permutation, _check_tol, as_permutation, as_weight_vector,
+                   permutation_rank_many)
 from .exceptions import PreconditionError, ToleranceError
-from .rng import RngStream
 
 __all__ = [
     "SignVector",
@@ -305,20 +305,15 @@ def _check_chamber(kind, dim, chamber):
     return chamber
 
 
-def _generator(rng):
-    return rng.generator if isinstance(rng, RngStream) else rng
-
-
-def _draw_face_index(table, g):
+def _draw_face_index(table, rng):
     cum = np.cumsum(table.weights)
-    idx = int(np.searchsorted(cum, g.random(), side="right"))
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
     return min(idx, table.m - 1)
 
 
 def walk_step(chain, rng):
     """Draw a face with probability w_F, project, advance, and return."""
-    g = _generator(rng)
-    face = chain.face_table.faces[_draw_face_index(chain.face_table, g)]
+    face = chain.face_table.faces[_draw_face_index(chain.face_table, rng)]
     if chain.face_table.kind == "boolean":
         chain.current = project_boolean(chain.current, face)
     else:
@@ -435,6 +430,7 @@ def stationary_exact(matrix, tol=1e-10):
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import LinearOperator, bicgstab
 
+    _check_tol(tol)
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
         raise PreconditionError("matrix must be square and nonempty")
@@ -499,9 +495,7 @@ def brown_diaconis_sample_many(table, size, rng, reference=None):
         reference = SignVector([1] * table.dim) if table.kind == "boolean" \
             else Permutation.identity(table.dim)
     reference = _check_chamber(table.kind, table.dim, reference)
-    g = _generator(rng)
-    u = g.random((size, table.m))
-    orders = kernels.weighted_order_many(table.weights, u)
+    orders = kernels.weighted_order_many(table.weights, rng.random((size, table.m)))
     if table.kind == "boolean":
         return kernels.apply_boolean_reverse(table.entries_matrix(), orders,
                                              reference.to_array())
@@ -632,9 +626,8 @@ def graph_coloring_step(coloring, edges, rng):
     if not isinstance(coloring, SignVector):
         coloring = SignVector(coloring)
     cleaned, n = _check_graph(edges, coloring.d)
-    g = _generator(rng)
-    u, v = cleaned[int(g.integers(len(cleaned)))]
-    s = 1 if g.random() < 0.5 else -1
+    u, v = cleaned[int(rng.integers(len(cleaned)))]
+    s = 1 if rng.random() < 0.5 else -1
     entries = list(coloring.entries)
     entries[u - 1] = s
     entries[v - 1] = s

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 
-from .core import as_weight_vector
+from .core import _check_labels, _check_tol, as_weight_vector
 from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError
 
 __all__ = [
@@ -362,8 +362,7 @@ def f_eval(seq, x, tol=1e-10):
     says so, else certified once its windows shrink geometrically, else
     ``ToleranceError`` after 2^21 terms.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    _check_tol(tol)
     x = float(x)
     if x <= 0.0:
         raise PreconditionError("x must be positive (the sum is infinite at x <= 0)")
@@ -497,19 +496,6 @@ def convergence_test(seq):
 # bottom-card pmfs
 # ---------------------------------------------------------------------------
 
-def _check_bottom_labels(a, n=None):
-    a = tuple(int(v) for v in a)
-    if len(a) == 0:
-        raise PreconditionError("need at least one label")
-    if len(set(a)) != len(a):
-        raise PreconditionError("labels must be distinct")
-    for v in a:
-        if v < 1 or (n is not None and v > n):
-            hi = n if n is not None else "inf"
-            raise PreconditionError(f"label {v} out of range 1..{hi}")
-    return a
-
-
 def _telescoped_integral(theta_a, log_survival_bracket, tol, points=None):
     """prefactor * integral_0^1 theta_k y^(T_k - 1) * survival(x=-log y) dy.
 
@@ -563,9 +549,8 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
     :class:`DefectiveMassWarning` is emitted because the probabilities over
     all prefixes then sum to less than one.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    a = _check_bottom_labels(a)
+    _check_tol(tol)
+    a = _check_labels(a, math.inf)
     exclude = frozenset(a)
     theta_a = [seq.theta(v) for v in a]
     rel = min(1e-9, max(0.01 * tol, 1e-14))
@@ -576,15 +561,13 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
 
     points = None
     if seq.family in _ANALYTIC_CLASSIFICATION:
-        x0 = _ANALYTIC_CLASSIFICATION[seq.family][0](seq.beta)
-        if 0.0 < x0 < math.inf:
-            points = [math.exp(-x0)]
         report = convergence_test(seq)
+        if 0.0 < report.x0 < math.inf:
+            points = [math.exp(-report.x0)]
         if not report.converges:
             warnings.warn("limit law is defective; probabilities sum to less than one",
                           DefectiveMassWarning, stacklevel=2)
-    value = _telescoped_integral(theta_a, ln_surv, tol, points=points)
-    return value
+    return _telescoped_integral(theta_a, ln_surv, tol, points=points)
 
 
 def sukhatme_last_card_table(max_label, tol=1e-6):
@@ -608,8 +591,9 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
     Uses the same telescoped integral as the limit law, with the finite
     survival product over the labels outside ``a``.
     """
+    _check_tol(tol)
     w = as_weight_vector(w)
-    a = _check_bottom_labels(a, n=w.n)
+    a = _check_labels(a, w.n)
     idx = np.asarray(a) - 1
     theta_a = w.weights[idx]
     others = np.delete(w.weights, idx)
@@ -618,8 +602,7 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
         return float(np.prod(theta_a / t_partial))
 
     def ln_surv(x):
-        with np.errstate(divide="ignore"):
-            v = float(np.log1p(-np.exp(-x * others)).sum())
+        v = float(_head_log_survival(np.array([x]), others)[0])
         return (v, v)
 
     return _telescoped_integral(theta_a, ln_surv, tol)
@@ -635,7 +618,7 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     log-survival bracket, tail included; each sample is weighted by the
     midpoint of its bracket.  Returns (estimate, stderr).
     """
-    a = _check_bottom_labels(a)
+    a = _check_labels(a, math.inf)
     if size < 1:
         raise PreconditionError("size must be at least 1")
     th = np.array([seq.theta(v) for v in a])

@@ -47,7 +47,7 @@ from .core import (WeightVector, luce_pmf, normalize, sample_exponential_many,
                    sample_urn_many, sukhatme_weights)
 from .exceptions import DefectiveMassWarning, LucewalksError, PreconditionError, \
     ToleranceError
-from .rng import RngStream
+from .rng import RngStream, _entropy_seed
 from .topk import distance_report
 
 __all__ = ["main", "read_csv_text", "read_json_text", "read_jsonl_text",
@@ -97,6 +97,14 @@ def _emit_csv(header, rows):
 def _emit_json(obj):
     json.dump(_round9(obj), sys.stdout, separators=(", ", ": "))
     sys.stdout.write("\n")
+
+
+def _emit_record(fmt, record):
+    """One record: a JSON object, or a one-row CSV table headed by its keys."""
+    if fmt == "json":
+        _emit_json(record)
+    else:
+        _emit_csv(list(record), [list(record.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +226,7 @@ def _parse_labels(text, what):
 def _cmd_pmf(args, rng):
     w = resolve_weight_vector(args)
     sigma = _parse_labels(args.sigma, "sigma")
-    val = luce_pmf(w, sigma)
-    if args.format == "json":
-        _emit_json({"pmf": val})
-    else:
-        _emit_csv(["pmf"], [[val]])
+    _emit_record(args.format, {"pmf": luce_pmf(w, sigma)})
     return {}
 
 
@@ -247,12 +251,7 @@ def _cmd_sample(args, rng):
 
 def _cmd_topk(args, rng):
     w = resolve_weight_vector(args)
-    report = distance_report(w, args.k).to_dict()
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        keys = list(report)
-        _emit_csv(keys, [[report[k] for k in keys]])
+    _emit_record(args.format, distance_report(w, args.k).to_dict())
     return {}
 
 
@@ -278,12 +277,7 @@ def _cmd_bottom_table(args, rng):
 
 def _cmd_converge_test(args, rng):
     seq = resolve_weight_sequence(args)
-    report = convergence_test(seq).to_dict()
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        keys = list(report)
-        _emit_csv(keys, [[report[k] for k in keys]])
+    _emit_record(args.format, convergence_test(seq).to_dict())
     return {}
 
 
@@ -318,11 +312,10 @@ def _build_face_table(args):
         if args.dim is None:
             raise PreconditionError("--dim is required for the ehrenfest model")
         return ehrenfest_face_weights(args.dim)
-    if model == "coloring":
-        if args.graph is None:
-            raise PreconditionError("--graph is required for the coloring model")
-        return graph_coloring_face_weights(_read_edge_list(args.graph))
-    raise PreconditionError(f"unknown model {model!r}")
+    # --model's choices leave only coloring
+    if args.graph is None:
+        raise PreconditionError("--graph is required for the coloring model")
+    return graph_coloring_face_weights(_read_edge_list(args.graph))
 
 
 def _read_edge_list(path):
@@ -373,20 +366,18 @@ def _cmd_arrangement(args, rng):
         else:
             _emit_csv(["chamber", "probability"], list(zip(cells, pi)))
         return {"tol": args.tol, "residual": residual}
-    if args.action == "sample-bd":
-        if args.samples < 0:
-            raise PreconditionError("--samples must be nonnegative")
-        if args.samples == 0:
-            return {}
-        reference = _parse_chamber(kind, args.reference) if args.reference else None
-        out = brown_diaconis_sample_many(table, args.samples, rng, reference)
-        if args.format == "json":
-            _emit_json({"kind": kind,
-                        "samples": [_chamber_json(kind, row) for row in out]})
-        else:
-            _emit_csv(["chamber"], [[_chamber_text(kind, row)] for row in out])
+    # the arrangement subparsers leave only sample-bd
+    if args.samples < 0:
+        raise PreconditionError("--samples must be nonnegative")
+    if args.samples == 0:
         return {}
-    raise PreconditionError(f"unknown arrangement action {args.action!r}")
+    reference = _parse_chamber(kind, args.reference) if args.reference else None
+    out = brown_diaconis_sample_many(table, args.samples, rng, reference)
+    if args.format == "json":
+        _emit_json({"kind": kind, "samples": [_chamber_json(kind, row) for row in out]})
+    else:
+        _emit_csv(["chamber"], [[_chamber_text(kind, row)] for row in out])
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +475,7 @@ _EXITS = (
 def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
-    return int(np.random.SeedSequence().entropy % (1 << 64))
+    return _entropy_seed()
 
 
 def _write_manifest(argv, seed, tolerances, exit_code, t0, error=None, trace=None):

@@ -173,6 +173,28 @@ def normalize(w):
     return WeightVector(w.weights / w.total)
 
 
+def _check_labels(labels, n, distinct=True):
+    """``labels`` as a nonempty tuple of ints in 1..n, distinct unless ``distinct`` is false.
+
+    ``n`` may be ``math.inf`` for the labels of an infinite weight sequence.
+    """
+    labels = tuple(int(v) for v in labels)
+    if not labels:
+        raise PreconditionError("labels must be nonempty")
+    if distinct and len(set(labels)) != len(labels):
+        raise PreconditionError("labels must be distinct")
+    for v in labels:
+        if not 1 <= v <= n:
+            raise PreconditionError(f"label {v} out of range 1..{n}")
+    return labels
+
+
+def _check_tol(tol):
+    """A tolerance must be a positive number; zero, negative and NaN values raise."""
+    if not tol > 0:
+        raise PreconditionError(f"tol must be positive, got {tol!r}")
+
+
 def restrict(w, subset):
     """Weights of a subset of labels, in the order given.
 
@@ -180,14 +202,7 @@ def restrict(w, subset):
     subset under the full model (irrelevance of the other labels).
     """
     w = as_weight_vector(w)
-    idx = [int(i) for i in subset]
-    if len(idx) == 0:
-        raise PreconditionError("subset must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise PreconditionError("subset labels must be distinct")
-    for i in idx:
-        if not 1 <= i <= w.n:
-            raise PreconditionError(f"label {i} out of range 1..{w.n}")
+    idx = _check_labels(subset, w.n)
     return WeightVector(w.weights[np.asarray(idx) - 1])
 
 

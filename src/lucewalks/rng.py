@@ -11,6 +11,11 @@ import numpy as np
 from .exceptions import PreconditionError
 
 
+def _entropy_seed():
+    """A fresh seed in [0, 2**64) from operating-system entropy, for runs given none."""
+    return int(np.random.SeedSequence().entropy % (1 << 64))
+
+
 class RngStream:
     """Seedable, splittable source of uniform variates.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_weight_vector
+from .core import _check_labels, as_weight_vector
 from .exceptions import PreconditionError
 
 __all__ = [
@@ -48,23 +48,11 @@ def _require_normalized(w):
         )
 
 
-def _check_prefix(w, labels, distinct=False):
-    labels = tuple(int(a) for a in labels)
-    if len(labels) == 0:
-        raise PreconditionError("prefix must be nonempty")
-    for a in labels:
-        if not 1 <= a <= w.n:
-            raise PreconditionError(f"label {a} out of range 1..{w.n}")
-    if distinct and len(set(labels)) != len(labels):
-        raise PreconditionError("labels must be distinct")
-    return labels
-
-
 def prefix_prob_p(w, labels):
     """P(first k draws are exactly ``labels``, in order); 0 on repeats."""
     w = as_weight_vector(w)
     _require_normalized(w)
-    labels = _check_prefix(w, labels)
+    labels = _check_labels(labels, w.n, distinct=False)
     if len(set(labels)) != len(labels):
         return 0.0
     th = w.weights[np.asarray(labels) - 1]
@@ -77,7 +65,7 @@ def prefix_prob_q(w, labels):
     """Q(k independent draws are exactly ``labels``, in order)."""
     w = as_weight_vector(w)
     _require_normalized(w)
-    labels = _check_prefix(w, labels)
+    labels = _check_labels(labels, w.n, distinct=False)
     return float(np.prod(w.weights[np.asarray(labels) - 1]))
 
 
@@ -271,7 +259,8 @@ def elementary_symmetric(weights, k):
     kept to degree min(k, weights covered): O(n k) work in
     O(BLOCK + k log(n / BLOCK)) numpy steps.  Every term of a positive
     input is positive; at n = 2000 and 5000 the result is within 1e-12
-    relative of the one-weight-at-a-time recurrence.
+    relative of the one-weight-at-a-time recurrence.  A result past the
+    float64 range raises ``PreconditionError``.
     """
     arr = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=np.float64)
     n = arr.size
@@ -279,7 +268,10 @@ def elementary_symmetric(weights, k):
         raise PreconditionError(f"k must be in 0..{n}")
     if k == 0:
         return 1.0
-    return _symmetric_recurrence(arr, k, False, np.longdouble if n > 1000 else np.float64)
+    e_k = _symmetric_recurrence(arr, k, False, np.longdouble if n > 1000 else np.float64)
+    if not math.isfinite(e_k):
+        raise PreconditionError(f"e_{k} of {n} weights is not a finite float64")
+    return e_k
 
 
 def tv_exact(w, k):
@@ -341,9 +333,7 @@ def second_card_marginal(w, label):
     """P(second draw is ``label``) = theta_b sum_{i != b} theta_i / (1 - theta_i)."""
     w = as_weight_vector(w)
     _require_normalized(w)
-    b = int(label)
-    if not 1 <= b <= w.n:
-        raise PreconditionError(f"label {b} out of range 1..{w.n}")
+    (b,) = _check_labels((label,), w.n)
     th = w.weights
     mask = np.arange(w.n) != b - 1
     return float(th[b - 1] * np.sum(th[mask] / (1.0 - th[mask])))
@@ -353,30 +343,26 @@ def second_card_marginal(w, label):
 class DistanceReport:
     """Bundle of the k-prefix distance diagnostics.
 
-    ``d_inf_exact`` may be None when the caller skipped it; every other
-    field is required.  Values are validated: probabilities in [0, 1],
-    lambda nonnegative, and tv_exact never exceeds d_inf_exact.
+    Values are validated: probabilities in [0, 1], lambda nonnegative, and
+    tv_exact never exceeds d_inf_exact.
     """
 
     k: int
-    d_inf_exact: float | None
+    d_inf_exact: float
     d_inf_bound: float
     tv_exact: float
     collision_lambda: float
     tv_poisson: float
 
     def __post_init__(self):
-        for name in ("d_inf_bound", "tv_exact", "tv_poisson"):
+        for name in ("d_inf_exact", "d_inf_bound", "tv_exact", "tv_poisson"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise PreconditionError(f"{name} must lie in [0, 1], got {v!r}")
         if self.collision_lambda < 0.0:
             raise PreconditionError("collision_lambda must be nonnegative")
-        if self.d_inf_exact is not None:
-            if not 0.0 <= self.d_inf_exact <= 1.0:
-                raise PreconditionError("d_inf_exact must lie in [0, 1]")
-            if self.tv_exact > self.d_inf_exact + 1e-12:
-                raise PreconditionError("tv_exact cannot exceed d_inf_exact")
+        if self.tv_exact > self.d_inf_exact + 1e-12:
+            raise PreconditionError("tv_exact cannot exceed d_inf_exact")
 
     def to_dict(self):
         return {

@@ -656,3 +656,27 @@ class TestEnumerationIndex:
     def test_too_large(self):
         with pytest.raises(PreconditionError):
             enumerate_chambers("braid", 9)
+
+
+def _tsetlin4_kernel():
+    return transition_matrix(tsetlin_face_weights(normalize([1.0, 2.0, 3.0, 4.0])))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: graph_coloring_face_weights([(0, 1), (1, 2)]), PreconditionError, "1-based"),
+        (lambda: graph_coloring_face_weights(PATH4, n_vertices=3), PreconditionError,
+         "exceeds vertex count"),
+        (lambda: enumerate_chambers("boolean", 0), PreconditionError, "at least 1"),
+        (lambda: ChamberChain(ehrenfest_face_weights(3), (1, 0, 1)), PreconditionError,
+         "chamber"),
+        (lambda: ChamberChain(riffle_face_weights(3), (1, 2)), PreconditionError, "size"),
+        (lambda: stationary_exact(_tsetlin4_kernel(), tol=1e-300), ToleranceError, "residual"),
+        (lambda: stationary_exact(_tsetlin4_kernel(), tol=0.0), PreconditionError, "tol"),
+        (lambda: stationary_exact(_tsetlin4_kernel(), tol=-1.0), PreconditionError, "tol"),
+        (lambda: stationary_exact(_tsetlin4_kernel(), tol=math.nan), PreconditionError, "tol"),
+    ], ids=["vertex_zero", "endpoint_past_count", "enum_dim0", "boolean_start",
+            "braid_start", "residual_tol", "tol_zero", "tol_negative", "tol_nan"])
+    def test_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -657,3 +657,15 @@ class TestMonteCarloCrossCheck:
             limit_bottom_pmf_mc(linear_weights(), (1, 1), 100, RngStream(0))
         with pytest.raises(PreconditionError):
             limit_bottom_pmf_mc(linear_weights(), (1,), 0, RngStream(0))
+
+
+class TestToleranceChecks:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda tol: f_eval(linear_weights(), 1.0, tol=tol),
+        lambda tol: limit_bottom_pmf(linear_weights(), (1,), tol=tol),
+        lambda tol: finite_n_bottom_pmf([1.0, 2.0, 3.0], (1,), tol=tol),
+    ], ids=["f_eval", "limit", "finite"])
+    def test_raises_precondition(self, call, tol):
+        with pytest.raises(PreconditionError, match="tol"):
+            call(tol)

@@ -356,6 +356,33 @@ class TestWeightSpecs:
         assert [str(w.message) for w in caught] == []
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--weights", "[1,2]", "--n-samples", "-1"),
+        ("bottom-table", "--family", "linear", "--max-label", "0"),
+        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "nan"),
+        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "0"),
+        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "-1"),
+        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "nan"),
+        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "0"),
+        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "-1"),
+        ("arrangement", "stationary", "--model", "riffle"),
+        ("arrangement", "stationary", "--model", "ehrenfest"),
+        ("arrangement", "stationary", "--model", "coloring"),
+        ("arrangement", "sim", "--model", "ehrenfest", "--dim", "2", "--steps", "-1"),
+        ("arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "2", "--samples", "-1"),
+    ], ids=["n_samples", "max_label", "table_tol_nan", "table_tol_zero", "table_tol_negative",
+            "stationary_tol_nan", "stationary_tol_zero", "stationary_tol_negative",
+            "riffle_no_dim", "ehrenfest_no_dim", "coloring_no_graph", "steps", "samples"])
+    def test_exit_3_with_manifest(self, run, tmp_path, argv):
+        code, out, err = run(*argv, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("precondition error: ")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, run):
         code, _, err = run("frobnicate")

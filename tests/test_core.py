@@ -367,3 +367,15 @@ class TestEnumerationAndRank:
     def test_too_large(self):
         with pytest.raises(PreconditionError):
             all_permutations(13)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: sample_urn_many([1.0, 2.0], -1, RngStream(0)), "size"),
+        (lambda: sample_exponential_many([1.0, 2.0], -1, RngStream(0)), "size"),
+        (lambda: sample_spacings_many(3, -1, RngStream(0)), "size"),
+        (lambda: sample_spacings_many(0, 5, RngStream(0)), "n must be"),
+    ], ids=["urn_size", "exponential_size", "spacings_size", "spacings_n"])
+    def test_raises_precondition(self, call, match):
+        with pytest.raises(PreconditionError, match=match):
+            call()

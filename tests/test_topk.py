@@ -21,6 +21,7 @@ from lucewalks import (
     prefix_prob_p,
     prefix_prob_q,
     sample_exponential_many,
+    second_card_marginal,
     sukhatme_weights,
     tv_exact,
     tv_poisson_approx,
@@ -239,6 +240,15 @@ class TestElementarySymmetric:
         with pytest.raises(PreconditionError):
             elementary_symmetric([1.0], 2)
 
+    @pytest.mark.parametrize("n, k", [(20000, 2000), (2000, 1000)])
+    def test_overflow_raises(self, n, k):
+        with pytest.raises(PreconditionError, match="float64"):
+            elementary_symmetric(np.ones(n), k)
+
+    def test_largest_binomial_in_range(self):
+        got = elementary_symmetric(np.ones(1000), 500)
+        assert got == pytest.approx(math.comb(1000, 500), rel=1e-12)
+
 
 class TheoremSchurConcavity:
     """Uniform weights minimize the k-prefix TV at fixed n."""
@@ -351,3 +361,25 @@ def test_tv_unit_interval_and_domination(raw, k):
     tv = tv_exact(w, k)
     assert 0.0 <= tv <= 1.0
     assert tv <= d_inf_exact(w, k) + 1e-12
+
+
+class TestInputChecks:
+    W = np.array([0.4, 0.3, 0.2, 0.1])
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda w: prefix_prob_p(w, ()), "nonempty"),
+        (lambda w: prefix_prob_q(w, ()), "nonempty"),
+        (lambda w: prefix_prob_p(w, (1, 5)), "out of range"),
+        (lambda w: prefix_prob_q(w, (0,)), "out of range"),
+        (lambda w: second_card_marginal(w, 5), "out of range"),
+        (lambda w: d_inf_exact(w, 0), "k must be"),
+        (lambda w: d_inf_exact(w, 5), "k must be"),
+        (lambda w: d_inf_bound(w, 5), "k must be"),
+        (lambda w: tv_exact(w, 0), "k must be"),
+        (lambda w: tv_uniform_exact(4, 5), "k must be"),
+        (lambda w: collision_lambda(w, 0), "k must be"),
+    ], ids=["p_empty", "q_empty", "p_range", "q_zero", "second_range", "dinf_k0",
+            "dinf_k_big", "bound_k_big", "tv_k0", "uniform_k_big", "lambda_k0"])
+    def test_raises_precondition(self, call, match):
+        with pytest.raises(PreconditionError, match=match):
+            call(self.W)
