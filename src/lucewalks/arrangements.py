@@ -15,10 +15,10 @@ A walk step draws a face F with probability w_F and replaces the current
 chamber by its projection onto F.  When the positive-weight faces separate
 the chambers, the walk has a unique stationary law, and an exact stationary
 draw is obtained by pulling all positive faces out of an urn without
-replacement (proportional to weight) and applying them to any reference
-chamber in reverse draw order.  Single-use moves (move-to-front, inverse
-riffle, coordinate flips, edge 2-coloring) are provided as prebuilt face
-weight tables.
+replacement (proportional to weight): the draw is the product F1 F2 ... Fm
+in urn order, which for separating faces is already a chamber.  Single-use
+moves (move-to-front, inverse riffle, coordinate flips, edge 2-coloring) are
+provided as prebuilt face weight tables.
 """
 
 import itertools
@@ -50,7 +50,6 @@ __all__ = [
     "riffle_face_weights",
     "ehrenfest_face_weights",
     "graph_coloring_face_weights",
-    "graph_coloring_step",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -475,14 +474,14 @@ def stationary_exact(matrix, tol=1e-10):
 # exact stationary sampling (urn of faces, reverse application)
 # ---------------------------------------------------------------------------
 
-def brown_diaconis_sample_many(table, size, rng, reference=None):
+def brown_diaconis_sample_many(table, size, rng):
     """Exact stationary draws via the without-replacement face urn.
 
     Each sample pulls all positive-weight faces out of an urn, one at a
-    time with probability proportional to remaining weight, then applies
-    the projections to the reference chamber in reverse draw order (last
-    face drawn is applied first).  For separating weights the law of the
-    result is the stationary distribution regardless of the reference.
+    time with probability proportional to remaining weight; the draw is the
+    product F1 F2 ... Fm in urn order.  For separating weights that product
+    is a chamber (faces form a left-regular band), so no start chamber
+    enters, and its law is the stationary distribution.
 
     Returns a (size, dim) array: sign entries for the boolean kind, 1-based
     one-line orderings for the braid kind.
@@ -491,22 +490,18 @@ def brown_diaconis_sample_many(table, size, rng, reference=None):
         raise PreconditionError("size must be at least 1")
     if not is_separating(table):
         raise PreconditionError("face weights are not separating")
-    if reference is None:
-        reference = SignVector([1] * table.dim) if table.kind == "boolean" \
-            else Permutation.identity(table.dim)
-    reference = _check_chamber(table.kind, table.dim, reference)
     orders = kernels.weighted_order_many(table.weights, rng.random((size, table.m)))
+    # the kernels project a start row, last face first; separating faces overwrite all of it
     if table.kind == "boolean":
         return kernels.apply_boolean_reverse(table.entries_matrix(), orders,
-                                             reference.to_array())
-    ref0 = np.array(reference.mapping, dtype=np.int64) - 1
-    out = kernels.apply_braid_reverse(table.entries_matrix(), orders, ref0)
+                                             np.ones(table.dim, dtype=np.int8))
+    out = kernels.apply_braid_reverse(table.entries_matrix(), orders, np.arange(table.dim))
     return out + 1
 
 
-def brown_diaconis_sample(table, rng, reference=None):
+def brown_diaconis_sample(table, rng):
     """One exact stationary chamber (see :func:`brown_diaconis_sample_many`)."""
-    row = brown_diaconis_sample_many(table, 1, rng, reference)[0]
+    row = brown_diaconis_sample_many(table, 1, rng)[0]
     if table.kind == "boolean":
         return SignVector(row)
     return Permutation(row)
@@ -521,10 +516,9 @@ def tsetlin_face_weights(w):
 
     The walk pulls label i to the top with probability theta_i; its
     stationary law is the sequential weighted-draw pmf of the same weights.
+    The weights must sum to 1, within the table's ``WEIGHT_SUM_TOL``.
     """
     w = as_weight_vector(w)
-    if abs(w.total - 1.0) > 1e-9:
-        raise PreconditionError("weights must be normalized")
     n = w.n
     pairs = []
     for i in range(1, n + 1):
@@ -569,7 +563,7 @@ def ehrenfest_face_weights(d):
     return FaceWeightTable("boolean", d, pairs)
 
 
-def _check_graph(edges, n_vertices=None):
+def _check_graph(edges):
     cleaned = []
     seen = set()
     for e in edges:
@@ -585,9 +579,7 @@ def _check_graph(edges, n_vertices=None):
         cleaned.append(key)
     if not cleaned:
         raise PreconditionError("edge list must be nonempty")
-    n = n_vertices if n_vertices is not None else max(max(e) for e in cleaned)
-    if any(v > n for e in cleaned for v in e):
-        raise PreconditionError("edge endpoint exceeds vertex count")
+    n = max(max(e) for e in cleaned)
     # connectivity via union-find
     parent = list(range(n + 1))
 
@@ -604,13 +596,15 @@ def _check_graph(edges, n_vertices=None):
     return cleaned, n
 
 
-def graph_coloring_face_weights(edges, n_vertices=None):
+def graph_coloring_face_weights(edges):
     """Edge 2-coloring moves as a boolean table over vertex colorings.
 
     Each move picks an edge uniformly and paints both endpoints a common
-    uniform sign, so each (edge, sign) face carries weight 1/(2|E|).
+    uniform sign, so each (edge, sign) face carries weight 1/(2|E|).  The
+    graph must be connected, so its vertices are 1..(largest endpoint).  The
+    walk is ``walk_step`` on a ``ChamberChain`` over this table.
     """
-    cleaned, n = _check_graph(edges, n_vertices)
+    cleaned, n = _check_graph(edges)
     pairs = []
     for u, v in cleaned:
         for s in (-1, 1):
@@ -620,15 +614,3 @@ def graph_coloring_face_weights(edges, n_vertices=None):
             pairs.append((SignVector(entries), 1.0 / (2 * len(cleaned))))
     return FaceWeightTable("boolean", n, pairs)
 
-
-def graph_coloring_step(coloring, edges, rng):
-    """One move of the edge 2-coloring walk on a connected simple graph."""
-    if not isinstance(coloring, SignVector):
-        coloring = SignVector(coloring)
-    cleaned, n = _check_graph(edges, coloring.d)
-    u, v = cleaned[int(rng.integers(len(cleaned)))]
-    s = 1 if rng.random() < 0.5 else -1
-    entries = list(coloring.entries)
-    entries[u - 1] = s
-    entries[v - 1] = s
-    return SignVector(entries)

@@ -43,8 +43,8 @@ from .arrangements import (ChamberChain, Permutation, SignVector,
                            riffle_face_weights, stationary_exact, transition_matrix,
                            tsetlin_face_weights, walk_step)
 from .bottomk import SEQUENCE_FAMILIES, convergence_test, limit_bottom_pmf
-from .core import (WeightVector, luce_pmf, normalize, sample_exponential_many,
-                   sample_urn_many, sukhatme_weights)
+from .core import (WeightVector, _check_tol, luce_pmf, normalize,
+                   sample_exponential_many, sample_urn_many, sukhatme_weights)
 from .exceptions import DefectiveMassWarning, LucewalksError, PreconditionError, \
     ToleranceError
 from .rng import RngStream, _entropy_seed
@@ -356,6 +356,7 @@ def _cmd_arrangement(args, rng):
             _emit_json({"step": t, "chamber": _chamber_json(kind, ch)})
         return {}
     if args.action == "stationary":
+        _check_tol(args.tol)  # before the kernel build, which may take seconds
         k_mat = transition_matrix(table)
         pi = stationary_exact(k_mat, tol=args.tol)
         residual = float(np.abs(pi @ k_mat - pi).max())
@@ -371,8 +372,7 @@ def _cmd_arrangement(args, rng):
         raise PreconditionError("--samples must be nonnegative")
     if args.samples == 0:
         return {}
-    reference = _parse_chamber(kind, args.reference) if args.reference else None
-    out = brown_diaconis_sample_many(table, args.samples, rng, reference)
+    out = brown_diaconis_sample_many(table, args.samples, rng)
     if args.format == "json":
         _emit_json({"kind": kind, "samples": [_chamber_json(kind, row) for row in out]})
     else:
@@ -457,7 +457,6 @@ def build_parser():
             q.add_argument("--tol", type=float, default=1e-10)
         else:
             q.add_argument("--samples", type=int, required=True)
-            q.add_argument("--reference", help="reference chamber for the urn sampler")
         _add_common(q)
         q.set_defaults(func=_cmd_arrangement)
     return parser

@@ -25,14 +25,15 @@ from lucewalks import (
     ehrenfest_face_weights,
     enumerate_chambers,
     graph_coloring_face_weights,
-    graph_coloring_step,
     is_separating,
+    kernels,
     luce_pmf,
     normalize,
     permutation_rank_many,
     project_boolean,
     project_braid,
     riffle_face_weights,
+    sample_urn_many,
     stationary_exact,
     transition_matrix,
     tsetlin_face_weights,
@@ -41,6 +42,7 @@ from lucewalks import (
 
 PATH4 = [(1, 2), (2, 3), (3, 4)]
 PATH5 = [(1, 2), (2, 3), (3, 4), (4, 5)]
+CYCLE7 = [(i, i % 7 + 1) for i in range(1, 8)]
 
 
 def empirical_boolean_hist(rows):
@@ -546,19 +548,35 @@ class TestUrnSamplerTheorem:
         tv = 0.5 * np.abs(hist / hist.sum() - 1 / 8).sum()
         assert tv <= 0.01
 
-    def test_reference_independence(self):
-        w = normalize([0.5, 0.3, 0.2])
-        table = tsetlin_face_weights(w)
-        a = brown_diaconis_sample_many(
-            table, 100_000, RngStream(31), reference=Permutation((1, 2, 3))
-        )
-        b = brown_diaconis_sample_many(
-            table, 100_000, RngStream(37), reference=Permutation((3, 2, 1))
-        )
-        ha = empirical_braid_hist(a, 3).astype(float)
-        hb = empirical_braid_hist(b, 3).astype(float)
-        tv = 0.5 * np.abs(ha / ha.sum() - hb / hb.sum()).sum()
-        assert tv <= 0.01
+    @pytest.mark.parametrize("make", [
+        lambda: riffle_face_weights(4),
+        lambda: riffle_face_weights(8),
+        lambda: tsetlin_face_weights(normalize(np.arange(1.0, 6.0))),
+        lambda: tsetlin_face_weights(normalize(np.arange(1.0, 31.0))),
+        lambda: ehrenfest_face_weights(6),
+        lambda: graph_coloring_face_weights(CYCLE7),
+    ], ids=["riffle4", "riffle8", "tsetlin5", "tsetlin30", "ehrenfest6", "cycle7"])
+    def test_product_ignores_start_row(self, np_rng, make):
+        # separating faces multiply to a chamber, so the row they act on is overwritten
+        table = make()
+        want = brown_diaconis_sample_many(table, 2000, RngStream(53))
+        orders = kernels.weighted_order_many(table.weights,
+                                             RngStream(53).random((2000, table.m)))
+        for _ in range(3):
+            if table.kind == "boolean":
+                start = np_rng.choice(np.array([-1, 1], dtype=np.int8), size=table.dim)
+                got = kernels.apply_boolean_reverse(table.entries_matrix(), orders, start)
+            else:
+                start = np_rng.permutation(table.dim)
+                got = kernels.apply_braid_reverse(table.entries_matrix(), orders, start) + 1
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 8, 30, 200])
+    def test_tsetlin_urn_is_sample_urn(self, np_rng, n):
+        # the Tsetlin draw lists the labels in the urn order of their faces
+        w = normalize(np_rng.uniform(0.2, 2.0, size=n))
+        got = brown_diaconis_sample_many(tsetlin_face_weights(w), 500, RngStream(n))
+        np.testing.assert_array_equal(got, sample_urn_many(w, 500, RngStream(n)))
 
     @pytest.mark.parametrize("kind,dim", [("boolean", 3), ("braid", 3)])
     def test_random_sparse_table(self, np_rng, kind, dim):
@@ -571,6 +589,15 @@ class TestUrnSamplerTheorem:
             hist = empirical_braid_hist(rows, dim)
         tv = 0.5 * np.abs(hist / hist.sum() - pi).sum()
         assert tv <= 0.01
+
+    @pytest.mark.parametrize("make", [lambda: tsetlin_face_weights([0.5, 0.3, 0.2]),
+                                      lambda: ehrenfest_face_weights(3)],
+                             ids=["braid", "boolean"])
+    def test_single_draw_is_row_zero(self, make):
+        table = make()
+        row = brown_diaconis_sample_many(table, 1, RngStream(59))[0]
+        want = SignVector(row) if table.kind == "boolean" else Permutation(row)
+        assert brown_diaconis_sample(table, RngStream(59)) == want
 
     def test_single_chamber_face(self):
         f = SignVector((1, -1))
@@ -592,7 +619,7 @@ class TheoremColoringStationary:
 class TestColoringStationaryTheorem:
     @pytest.mark.parametrize("edges,nv", [(PATH4, 4), (PATH5, 5)])
     def test_path_properties(self, edges, nv):
-        table = graph_coloring_face_weights(edges, n_vertices=nv)
+        table = graph_coloring_face_weights(edges)
         pi = stationary_exact(transition_matrix(table))
         chambers = enumerate_chambers("boolean", nv)
         lookup = {c: pi[i] for i, c in enumerate(chambers)}
@@ -617,17 +644,19 @@ class TestColoringStationaryTheorem:
 
     def test_single_edge_constant_after_one_step(self):
         rng = RngStream(7)
-        col = SignVector((1, -1))
+        table = graph_coloring_face_weights([(1, 2)])
         for _ in range(10):
-            out = graph_coloring_step(col, [(1, 2)], rng)
+            out = walk_step(ChamberChain(table, (1, -1)), rng)
             assert out in (SignVector((1, 1)), SignVector((-1, -1)))
 
     def test_step_changes_only_edge_endpoints(self):
         rng = RngStream(9)
         col = SignVector((1, -1, 1, -1))
-        out = graph_coloring_step(col, PATH4, rng)
-        diff = [i for i, (a, b) in enumerate(zip(col.entries, out.entries)) if a != b]
-        assert len(diff) <= 2
+        table = graph_coloring_face_weights(PATH4)
+        for _ in range(20):
+            out = walk_step(ChamberChain(table, col), rng)
+            diff = {i + 1 for i, (a, b) in enumerate(zip(col.entries, out.entries)) if a != b}
+            assert any(diff <= set(e) for e in PATH4)
 
     def test_graph_validation(self):
         with pytest.raises(PreconditionError):
@@ -665,8 +694,6 @@ def _tsetlin4_kernel():
 class TestInputChecks:
     @pytest.mark.parametrize("call, error, match", [
         (lambda: graph_coloring_face_weights([(0, 1), (1, 2)]), PreconditionError, "1-based"),
-        (lambda: graph_coloring_face_weights(PATH4, n_vertices=3), PreconditionError,
-         "exceeds vertex count"),
         (lambda: enumerate_chambers("boolean", 0), PreconditionError, "at least 1"),
         (lambda: ChamberChain(ehrenfest_face_weights(3), (1, 0, 1)), PreconditionError,
          "chamber"),
@@ -675,7 +702,7 @@ class TestInputChecks:
         (lambda: stationary_exact(_tsetlin4_kernel(), tol=0.0), PreconditionError, "tol"),
         (lambda: stationary_exact(_tsetlin4_kernel(), tol=-1.0), PreconditionError, "tol"),
         (lambda: stationary_exact(_tsetlin4_kernel(), tol=math.nan), PreconditionError, "tol"),
-    ], ids=["vertex_zero", "endpoint_past_count", "enum_dim0", "boolean_start",
+    ], ids=["vertex_zero", "enum_dim0", "boolean_start",
             "braid_start", "residual_tol", "tol_zero", "tol_negative", "tol_nan"])
     def test_raises(self, call, error, match):
         with pytest.raises(error, match=match):

@@ -2,14 +2,20 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lucewalks.cli import main, read_csv_text, read_json_text, read_jsonl_text
+import lucewalks.cli
+from lucewalks.cli import (build_parser, main, read_csv_text, read_json_text,
+                           read_jsonl_text)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -381,6 +387,48 @@ class TestInputChecks:
         assert err.splitlines()[-1].startswith("precondition error: ")
         doc = json.loads((tmp_path / "run_manifest.json").read_text())
         assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_stationary_bad_tol_builds_no_kernel(self, run, tmp_path, monkeypatch, tol):
+        def refuse(table):
+            raise AssertionError("transition_matrix called before the --tol check")
+
+        monkeypatch.setattr(lucewalks.cli, "transition_matrix", refuse)
+        code, out, _ = run("arrangement", "stationary", "--model", "riffle", "--dim", "8",
+                           "--tol", tol, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 3
+
+
+class TestPublicPaths:
+    """CLI paths that no other test runs: braid --start forms and zero BD samples."""
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("sim", "--model", "tsetlin", "--weights", "[0.5,0.3,0.2]", "--steps", "2",
+          "--start", "2,1,3"), '{"step": 0, "chamber": [2, 1, 3]}'),
+        (("sim", "--model", "tsetlin", "--weights", "[0.5,0.3,0.2]", "--steps", "2",
+          "--start", "[2,1,3]"), '{"step": 0, "chamber": [2, 1, 3]}'),
+        (("sample-bd", "--model", "ehrenfest", "--dim", "3", "--samples", "0"), None),
+    ], ids=["start_commas", "start_json", "bd_zero_samples"])
+    def test_exit_0_with_manifest(self, run, tmp_path, argv, first_line):
+        code, out, _ = run("arrangement", *argv, "--seed", "1")
+        assert code == 0
+        assert (out.splitlines()[0] if out else None) == first_line
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 0
+
+
+def _readme_command_lines():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lucewalks ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert lines, "README has no lucewalks lines under 'Command line'"
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestUsageErrors:

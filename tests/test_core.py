@@ -18,8 +18,11 @@ from lucewalks import (
     normalize,
     permutation_rank_many,
     restrict,
+    sample_exponential,
     sample_exponential_many,
+    sample_spacings,
     sample_spacings_many,
+    sample_urn,
     sample_urn_many,
     sukhatme_weights,
 )
@@ -375,7 +378,30 @@ class TestInputChecks:
         (lambda: sample_exponential_many([1.0, 2.0], -1, RngStream(0)), "size"),
         (lambda: sample_spacings_many(3, -1, RngStream(0)), "size"),
         (lambda: sample_spacings_many(0, 5, RngStream(0)), "n must be"),
-    ], ids=["urn_size", "exponential_size", "spacings_size", "spacings_n"])
+        (lambda: RngStream(0).split(0), "k must be"),
+        (lambda: Permutation((2, 1))(3), "out of range"),
+    ], ids=["urn_size", "exponential_size", "spacings_size", "spacings_n", "split_zero",
+            "call_range"])
     def test_raises_precondition(self, call, match):
         with pytest.raises(PreconditionError, match=match):
             call()
+
+
+W3 = [0.5, 0.3, 0.2]
+
+
+class TestPublicPaths:
+    """Public calls that no other test runs, each against an equivalent route."""
+
+    @pytest.mark.parametrize("got, want", [
+        (lambda: sample_urn(W3, RngStream(3)).mapping,
+         lambda: sample_urn_many(W3, 1, RngStream(3))[0]),
+        (lambda: sample_exponential(W3, RngStream(3)).mapping,
+         lambda: sample_exponential_many(W3, 1, RngStream(3))[0]),
+        (lambda: sample_spacings(4, RngStream(3)),
+         lambda: sample_spacings_many(4, 1, RngStream(3))[0]),
+        (lambda: [Permutation((3, 1, 4, 2))(j) for j in range(1, 5)], lambda: [3, 1, 4, 2]),
+        (lambda: Permutation((3, 1, 4, 2)).inverse().mapping, lambda: (2, 4, 1, 3)),
+    ], ids=["urn", "exponential", "spacings", "call", "inverse"])
+    def test_equals(self, got, want):
+        np.testing.assert_array_equal(got(), want())
