@@ -20,7 +20,8 @@ one-dimensional integral
     integral_0^inf theta_{a_k} e^{-T_k x} prod_{i not in a}(1 - e^{-theta_i x}) dx
 
 with T_m = theta_{a_1} + ... + theta_{a_m}, evaluated here after the
-substitution y = e^{-x} by adaptive Gauss-Kronrod quadrature.  The log of
+substitution y = e^{-theta_1 x} by adaptive Gauss-Kronrod quadrature: x in
+the model's own unit, as the law of c theta is the law of theta.  The log of
 the survival product is a head of terms summed directly plus the tail
 -sum_m S_n(m x) / m, where S_n(x) = sum_{i > n} e^{-theta_i x} is the tail of
 f itself: each weight family writes one certified bracket of S_n, read by
@@ -80,7 +81,7 @@ class WeightSequence:
     """
 
     __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache",
-                 "_spare", "_vectorized")
+                 "_vectorized")
 
     def __init__(self, evaluator, *, monotone=False, tail_bound=None):
         self._evaluator = evaluator
@@ -89,7 +90,6 @@ class WeightSequence:
         self.family = None
         self.beta = None
         self._cache = np.empty(0, dtype=np.float64)
-        self._spare = (0, 0.0)
         self._vectorized = False
 
     @classmethod
@@ -101,48 +101,33 @@ class WeightSequence:
         seq._vectorized = True
         return seq
 
-    def _fresh(self, lo, hi):
-        """Checked weights for indices lo+1..hi, evaluated now and not cached."""
-        if self._vectorized:
-            new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
-                             dtype=np.float64)
-        else:
-            new = np.array([self._evaluator(i) for i in range(lo + 1, hi + 1)],
-                           dtype=np.float64)
-        if np.any(new <= 0.0) or not np.all(np.isfinite(new)):
-            raise PreconditionError("sequence weights must be strictly positive and finite")
-        if self.monotone and np.any(np.diff(np.concatenate([self._cache[lo - 1:lo], new])) < -1e-12):
-            raise PreconditionError("sequence declared monotone but weights decrease")
-        return new
-
     def thetas(self, n):
         """Weights for indices 1..n as an array (cached).
 
         The cache grows at least geometrically, so a run of ``theta(i)`` calls
         for i = 1, 2, ... costs amortised O(1) each, and never past twice the
-        largest index asked for.
+        largest index asked for.  New weights are checked as they are cached.
         """
         lo = self._cache.size
         if n > lo:
-            self._cache = np.concatenate([self._cache, self._fresh(lo, max(n, 2 * lo))])
+            hi = max(n, 2 * lo)
+            if self._vectorized:
+                new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
+                                 dtype=np.float64)
+            else:
+                new = np.array([self._evaluator(i) for i in range(lo + 1, hi + 1)],
+                               dtype=np.float64)
+            if np.any(new <= 0.0) or not np.all(np.isfinite(new)):
+                raise PreconditionError("sequence weights must be strictly positive and finite")
+            if self.monotone and np.any(np.diff(np.concatenate([self._cache[-1:], new])) < -1e-12):
+                raise PreconditionError("sequence declared monotone but weights decrease")
+            self._cache = np.concatenate([self._cache, new])
         return self._cache[:n]
 
     def theta(self, i):
         if i < 1:
             raise PreconditionError("indices are 1-based")
         return float(self.thetas(i)[i - 1])
-
-    def _peek(self, i):
-        """theta_i without growing the cache: the one weight past a summed head.
-
-        The last index read past the cache is kept as ``_spare``, since a
-        quadrature reads the same theta_{n+1} at every node.
-        """
-        if i <= self._cache.size:
-            return float(self._cache[i - 1])
-        if self._spare[0] != i:
-            self._spare = (i, float(self._fresh(i - 1, i)[0]))
-        return self._spare[1]
 
     def __repr__(self):
         tag = self.family or "custom"
@@ -161,9 +146,9 @@ def constant_weights():
 
 def log_weights(beta=1.0):
     """theta_i = beta * log(i + 1)."""
-    if beta <= 0:
-        raise PreconditionError("beta must be positive")
     beta = float(beta)
+    if not 0.0 < beta < math.inf:
+        raise PreconditionError("beta must be positive and finite")
     return WeightSequence._builtin(lambda i: beta * np.log(i + 1.0), "log", beta)
 
 
@@ -280,7 +265,7 @@ def _tail_log_survival(seq, n_terms, x):
     (-inf, 0) that nothing is known of it; such a tail counts as zero once r
     is negligible.
     """
-    r = np.exp(-seq._peek(n_terms + 1) * x)
+    r = np.exp(-seq.theta(n_terms + 1) * x)
     m = _FIRST_ORDERS
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_mag, hi_mag, fold = _order_block(seq, n_terms, x, r, m)
@@ -312,9 +297,9 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
 
     ``x`` is an array of nodes; returns arrays (lo, hi).  (-inf, -inf) means
     the product is exactly zero: the underlying sum diverges or the product
-    is certainly below e^-700.  The head is summed directly and doubled until
-    the tail bracket is narrower than ``rel_tol``; out of budget, the
-    widest honest bracket is returned instead of a silently tightened one.
+    is certainly below e^-700.  The head 1..n-1 is summed directly and n doubled
+    until the tail bracket, from the cached theta_n on, is narrower than
+    ``rel_tol``; out of budget, the widest honest bracket is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     lo = np.empty(x.shape)
@@ -322,10 +307,10 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
     partial = np.zeros(x.shape)
     live = np.arange(x.size)
     n = max(32, 2 * max(exclude, default=0), int(min_terms))
-    th = np.delete(seq.thetas(n), [i - 1 for i in exclude])
+    th = np.delete(seq.thetas(n)[:n - 1], [i - 1 for i in exclude])
     while True:
         partial[live] += _head_log_survival(x[live], th)
-        t_lo, t_hi = _tail_log_survival(seq, n, x[live])
+        t_lo, t_hi = _tail_log_survival(seq, n - 1, x[live])
         lo[live] = partial[live] + t_lo
         hi[live] = partial[live] + t_hi
         if n >= _TERMS_MAX:
@@ -335,7 +320,7 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
                         & (hi[live] > LOG_PRODUCT_FLOOR)]
         if live.size == 0:
             break
-        th = seq.thetas(2 * n)[n:]
+        th = seq.thetas(2 * n)[n - 1:2 * n - 1]
         n *= 2
     flushed = hi <= LOG_PRODUCT_FLOOR
     lo[flushed] = hi[flushed] = -math.inf
@@ -454,7 +439,8 @@ def convergence_test(seq):
             return any(math.isfinite(_exp_sum_tail(seq, 64 << j, x)[1]) for j in range(16))
         return _condensation_finite(seq, x)
 
-    hi = 1.0
+    unit = 1.0 / seq.theta(1)  # x in the sequence's own unit, as the law is scale-free
+    hi = unit
     doublings = 0
     while not is_finite(hi):
         hi *= 2.0
@@ -485,7 +471,7 @@ def convergence_test(seq):
 
     # f(x0) is infinite when the first 2^16 terms at (or just above) x0 already
     # pass 1e4; a smaller prefix sum cannot tell a finite f(x0) from a slow one
-    probe = x0 if x0 > 0 else 1e-12
+    probe = x0 if x0 > 0 else 1e-12 * unit
     infinite = float(np.exp(-probe * seq.thetas(1 << 16)).sum()) > 1e4
     return ConvergenceReport(x0=x0, f_at_x0="infinite" if infinite else "undetermined",
                              converges=True if infinite else None,
@@ -496,9 +482,13 @@ def convergence_test(seq):
 # bottom-card pmfs
 # ---------------------------------------------------------------------------
 
-def _telescoped_integral(theta_a, log_survival_bracket, tol, points=None):
-    """prefactor * integral_0^1 theta_k y^(T_k - 1) * survival(x=-log y) dy.
+def _telescoped_integral(theta_a, u, log_survival_bracket, tol, x0=0.0):
+    """prefactor * integral_0^1 (theta_k/u) y^(T_k/u - 1) * survival(x=-log(y)/u) dy.
 
+    y = e^{-u x} measures x in the model's unit u, its first (or least)
+    weight, so scaling every weight leaves the integrand alone; T_k >= u for
+    nondecreasing weights keeps the power of y nonnegative.  ``x0`` > 0,
+    where the integrand turns on, becomes the breakpoint e^{-u x0}.
     ``log_survival_bracket(x)`` returns (lo, hi) enclosing the log survival
     product.  The integrand uses the midpoint; the worst node-wise envelope
     gap is added to the quadrature error estimate before the tolerance
@@ -508,25 +498,26 @@ def _telescoped_integral(theta_a, log_survival_bracket, tol, points=None):
     th = np.asarray(theta_a, dtype=np.float64)
     t_partial = np.cumsum(th)
     prefactor = float(np.prod(th[1:-1] / t_partial[1:-1])) if th.size > 2 else 1.0
-    c = float(t_partial[-1])
-    th_last = float(th[-1])
+    power = float(t_partial[-1]) / u - 1.0
+    scale = float(th[-1]) / u
     worst_gap = 0.0
 
     def integrand(y):
         nonlocal worst_gap
         if y <= 0.0 or y >= 1.0:
             return 0.0
-        x = -math.log(y)
-        lo, hi = log_survival_bracket(x)
-        base = (c - 1.0) * math.log(y)
+        log_y = math.log(y)
+        lo, hi = log_survival_bracket(-log_y / u)
+        base = power * log_y
         t_hi = base + hi
         if t_hi <= -745.0 or t_hi == -math.inf:
             return 0.0
         t_mid = base + 0.5 * (lo + hi)
-        value = 0.0 if t_mid <= -745.0 else th_last * math.exp(t_mid)
-        worst_gap = max(worst_gap, th_last * math.exp(t_hi) - value)
+        value = 0.0 if t_mid <= -745.0 else scale * math.exp(t_mid)
+        worst_gap = max(worst_gap, scale * math.exp(t_hi) - value)
         return value
 
+    points = [math.exp(-u * x0)] if 0.0 < x0 < math.inf else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(integrand, 0.0, 1.0,
@@ -559,15 +550,14 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
         lo, hi = _log_survival_bracket(seq, [x], exclude, rel, min_terms)
         return lo[0], hi[0]
 
-    points = None
+    x0 = 0.0
     if seq.family in _ANALYTIC_CLASSIFICATION:
         report = convergence_test(seq)
-        if 0.0 < report.x0 < math.inf:
-            points = [math.exp(-report.x0)]
+        x0 = report.x0
         if not report.converges:
             warnings.warn("limit law is defective; probabilities sum to less than one",
                           DefectiveMassWarning, stacklevel=2)
-    return _telescoped_integral(theta_a, ln_surv, tol, points=points)
+    return _telescoped_integral(theta_a, seq.theta(1), ln_surv, tol, x0)
 
 
 def sukhatme_last_card_table(max_label, tol=1e-6):
@@ -605,7 +595,7 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
         v = float(_head_log_survival(np.array([x]), others)[0])
         return (v, v)
 
-    return _telescoped_integral(theta_a, ln_surv, tol)
+    return _telescoped_integral(theta_a, float(w.weights.min()), ln_surv, tol)
 
 
 def limit_bottom_pmf_mc(seq, a, size, rng):

@@ -37,7 +37,7 @@ import warnings
 import numpy as np
 
 from . import __version__, kernels
-from .arrangements import (ChamberChain, Permutation, SignVector,
+from .arrangements import (WEIGHT_SUM_TOL, ChamberChain, Permutation, SignVector,
                            brown_diaconis_sample_many, ehrenfest_face_weights,
                            enumerate_chambers, graph_coloring_face_weights,
                            riffle_face_weights, stationary_exact, transition_matrix,
@@ -200,13 +200,13 @@ def resolve_weight_vector(args):
 
 
 def resolve_weight_sequence(args):
-    """--family plus optional --beta as a WeightSequence."""
+    """--family as a WeightSequence; ``log`` takes --beta where the command has it."""
     fam = getattr(args, "family", None)
     if fam not in SEQUENCE_FAMILIES:
         raise PreconditionError(
             f"weight spec: --family must be one of {tuple(SEQUENCE_FAMILIES)}")
-    if fam == "log":
-        return SEQUENCE_FAMILIES[fam](float(args.beta))
+    if fam == "log" and hasattr(args, "beta"):
+        return SEQUENCE_FAMILIES[fam](args.beta)
     return SEQUENCE_FAMILIES[fam]()
 
 
@@ -303,7 +303,10 @@ def _chamber_text(kind, chamber):
 def _build_face_table(args):
     model = args.model
     if model == "tsetlin":
-        return tsetlin_face_weights(resolve_weight_vector(args))
+        w = resolve_weight_vector(args)
+        if abs(w.total - 1.0) > WEIGHT_SUM_TOL:
+            raise PreconditionError(f"--weights sum to {w.total!r}, not 1; add --normalize")
+        return tsetlin_face_weights(w)
     if model == "riffle":
         if args.dim is None:
             raise PreconditionError("--dim is required for the riffle model")
@@ -428,7 +431,6 @@ def build_parser():
 
     p = sub.add_parser("bottom-table", help="limiting bottom-card probabilities")
     p.add_argument("--family", required=True, help="linear, constant, log, log-loglog")
-    p.add_argument("--beta", type=float, default=1.0, help="scale for the log family")
     p.add_argument("--max-label", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     _add_common(p)
@@ -436,7 +438,7 @@ def build_parser():
 
     p = sub.add_parser("converge-test", help="classify the reversed-order limit")
     p.add_argument("--family", required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0, help="log family scale; x0 = 1/beta")
     _add_common(p)
     p.set_defaults(func=_cmd_converge_test)
 

@@ -48,7 +48,7 @@ __all__ = [
 
 
 class WeightVector:
-    """Strictly positive, finite weights for labels 1..n.
+    """Strictly positive, finite weights with a finite total, for labels 1..n.
 
     The array is stored immutably; ``weights[i]`` is the weight of label
     ``i + 1``.  ``total`` is cached at construction (the array cannot change
@@ -65,9 +65,12 @@ class WeightVector:
             raise PreconditionError("weights must be finite")
         if np.any(arr <= 0.0):
             raise PreconditionError("weights must be strictly positive")
+        with np.errstate(over="ignore"):
+            self._total = float(arr.sum())
+        if not math.isfinite(self._total):
+            raise PreconditionError("weights must have a finite total")
         arr.flags.writeable = False
         self._weights = arr
-        self._total = float(arr.sum())
 
     @property
     def weights(self):

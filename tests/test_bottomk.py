@@ -103,17 +103,18 @@ class TestWeightSequence:
         assert 1000 <= len(calls) <= 2000
 
     def test_tail_read_leaves_cache_at_head(self):
-        # the survival tail reads theta_{n+1}; that read must not double the cache
+        # the survival tail starts at theta_n, the last weight the head cached,
+        # so no tail read grows the cache
         seq = log_weights(2.0)
         limit_bottom_pmf(seq, (1,), tol=1e-6)
-        assert seq._cache.size <= 16384 + 1  # the head of 2^14 terms, and theta_{n+1}
+        assert seq._cache.size <= 16384  # the head of 2^14 terms
 
         from lucewalks.bottomk import _tail_log_survival
 
         seq = WeightSequence(lambda i: 2.0 * math.log(i + 1), monotone=True)
         seq.thetas(64)
-        _tail_log_survival(seq, 64, np.array([1.0, 2.0]))
-        assert seq._cache.size <= 65
+        _tail_log_survival(seq, 63, np.array([1.0, 2.0]))
+        assert seq._cache.size == 64
 
 
 class TestFamilies:
@@ -129,6 +130,12 @@ class TestFamilies:
         assert seq.beta == 2.0
         with pytest.raises(PreconditionError):
             log_weights(0.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_log_beta_must_be_finite(self, beta):
+        # beta = inf made every weight inf and x0 = 0; nan made x0 nan
+        with pytest.raises(PreconditionError, match="finite"):
+            log_weights(beta)
 
     def test_log_loglog(self):
         seq = log_loglog_weights()

@@ -51,6 +51,13 @@ class TestPmf:
         code, out, _ = run("pmf", "--weights", "[1,2,3]", "--sigma", "[3,2,1]")
         assert code == 0
 
+    def test_overflowing_total_exit_3(self, run):
+        # the total 2e308 is inf, which printed a pmf of 0.0 where the truth is 0.5
+        code, out, err = run("pmf", "--weights", "[1e308,1e308]", "--sigma", "1,2")
+        assert code == 3
+        assert out == ""
+        assert "finite total" in err
+
 
 class TestSample:
     def test_zero_samples_empty(self, run):
@@ -136,6 +143,13 @@ class TestBottomTable:
         code, _, err = run("bottom-table", "--family", "cubic", "--max-label", "3")
         assert code in (1, 3)
 
+    def test_beta_flag_is_usage_error(self, run, tmp_path):
+        # bottom-card values are scale-free, so --beta could change no row
+        code, out, _ = run("bottom-table", "--family", "log", "--max-label", "1",
+                           "--beta", "2")
+        assert code == 1 and out == ""
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 1
+
 
 class TestConvergeTest:
     @pytest.mark.parametrize(
@@ -161,6 +175,13 @@ class TestConvergeTest:
         code, out, _ = run("converge-test", "--family", "log", "--beta", "4")
         doc = read_json_text(out)
         assert float(doc["x0"]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_exit_3(self, run, beta):
+        code, out, err = run("converge-test", "--family", "log", "--beta", beta)
+        assert code == 3
+        assert out == ""
+        assert "beta must be positive and finite" in err
 
 
 class TestArrangement:
@@ -240,6 +261,17 @@ class TestArrangement:
         assert code == 0
         rows = read_csv_text(out)
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("action", [("sim", "--steps", "1"), ("stationary",),
+                                        ("sample-bd", "--samples", "1")],
+                             ids=["sim", "stationary", "sample-bd"])
+    def test_unnormalized_tsetlin_names_normalize(self, run, action):
+        code, out, err = run("arrangement", action[0], "--model", "tsetlin",
+                             "--weights", "[1,2,3]", *action[1:], "--seed", "1")
+        assert code == 3 and out == ""
+        assert "--normalize" in err.splitlines()[-1]
+        assert run("arrangement", action[0], "--model", "tsetlin", "--weights", "[1,2,3]",
+                   "--normalize", *action[1:], "--seed", "1")[0] == 0
 
     def test_sample_bd_determinism(self, run):
         args = ("arrangement", "sample-bd", "--model", "tsetlin",

@@ -44,7 +44,8 @@ class TestWeightVector:
         with pytest.raises((ValueError, RuntimeError)):
             w.weights[0] = 5.0
 
-    @pytest.mark.parametrize("bad", [[], [0.0, 1.0], [-1.0, 2.0], [np.inf, 1.0], [np.nan, 1.0]])
+    @pytest.mark.parametrize("bad", [[], [0.0, 1.0], [-1.0, 2.0], [np.inf, 1.0], [np.nan, 1.0],
+                                     [1e308, 1e308]])
     def test_invalid(self, bad):
         with pytest.raises(PreconditionError):
             WeightVector(bad)
