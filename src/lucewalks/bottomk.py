@@ -20,8 +20,8 @@ one-dimensional integral
     integral_0^inf theta_{a_k} e^{-T_k x} prod_{i not in a}(1 - e^{-theta_i x}) dx
 
 with T_m = theta_{a_1} + ... + theta_{a_m}, evaluated here after the
-substitution y = e^{-theta_1 x} by adaptive Gauss-Kronrod quadrature: x in
-the model's own unit, as the law of c theta is the law of theta.  The log of
+substitution y = e^{-u x}, x in a unit u of the model's own (the law of c
+theta is the law of theta), by adaptive Gauss-Kronrod quadrature.  The log of
 the survival product is a head of terms summed directly plus the tail
 -sum_m S_n(m x) / m, where S_n(x) = sum_{i > n} e^{-theta_i x} is the tail of
 f itself: each weight family writes one certified bracket of S_n, read by
@@ -439,8 +439,7 @@ def convergence_test(seq):
             return any(math.isfinite(_exp_sum_tail(seq, 64 << j, x)[1]) for j in range(16))
         return _condensation_finite(seq, x)
 
-    unit = 1.0 / seq.theta(1)  # x in the sequence's own unit, as the law is scale-free
-    hi = unit
+    hi = unit = 1.0 / seq.theta(1)  # x in the sequence's own unit, as the law is scale-free
     doublings = 0
     while not is_finite(hi):
         hi *= 2.0
@@ -482,23 +481,25 @@ def convergence_test(seq):
 # bottom-card pmfs
 # ---------------------------------------------------------------------------
 
-def _telescoped_integral(theta_a, u, log_survival_bracket, tol, x0=0.0):
+def _telescoped_integral(theta_a, theta_out, log_survival_bracket, tol, x0=0.0):
     """prefactor * integral_0^1 (theta_k/u) y^(T_k/u - 1) * survival(x=-log(y)/u) dy.
 
-    y = e^{-u x} measures x in the model's unit u, its first (or least)
-    weight, so scaling every weight leaves the integrand alone; T_k >= u for
-    nondecreasing weights keeps the power of y nonnegative.  ``x0`` > 0,
-    where the integrand turns on, becomes the breakpoint e^{-u x0}.
+    u, the least weight clamped to [T_k/64, T_k], makes the integrand
+    scale-free and keeps the power of y in [0, 63].  The survival product
+    varies at x below 40/theta_out, ``theta_out`` the least weight outside
+    ``a``; where that is a sliver by y = 1 that the first rule's nodes miss,
+    its edge is a breakpoint, as is ``x0`` > 0, where the integrand turns on.
     ``log_survival_bracket(x)`` returns (lo, hi) enclosing the log survival
-    product.  The integrand uses the midpoint; the worst node-wise envelope
-    gap is added to the quadrature error estimate before the tolerance
-    check, so sequences whose tails cannot be bracketed tightly fail loudly
-    instead of returning a silently degraded value.
+    product.  The integrand uses the midpoint; the worst node-wise gap of the
+    envelope joins the quadrature error before the tolerance check, so tails
+    that cannot be bracketed tightly fail loudly, not silently degraded.
     """
     th = np.asarray(theta_a, dtype=np.float64)
     t_partial = np.cumsum(th)
     prefactor = float(np.prod(th[1:-1] / t_partial[1:-1])) if th.size > 2 else 1.0
-    power = float(t_partial[-1]) / u - 1.0
+    t_k = float(t_partial[-1])
+    u = min(t_k, max(min(float(th.min()), theta_out), t_k / 64.0))
+    power = t_k / u - 1.0
     scale = float(th[-1]) / u
     worst_gap = 0.0
 
@@ -517,7 +518,8 @@ def _telescoped_integral(theta_a, u, log_survival_bracket, tol, x0=0.0):
         worst_gap = max(worst_gap, scale * math.exp(t_hi) - value)
         return value
 
-    points = [math.exp(-u * x0)] if 0.0 < x0 < math.inf else None
+    edge = 40.0 / theta_out if 40.0 * u < 0.05 * theta_out else 0.0
+    points = sorted(math.exp(-u * x) for x in (x0, edge) if 0.0 < x < math.inf) or None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(integrand, 0.0, 1.0,
@@ -557,7 +559,8 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
         if not report.converges:
             warnings.warn("limit law is defective; probabilities sum to less than one",
                           DefectiveMassWarning, stacklevel=2)
-    return _telescoped_integral(theta_a, seq.theta(1), ln_surv, tol, x0)
+    theta_out = seq.theta(min(set(range(1, len(a) + 2)) - exclude))
+    return _telescoped_integral(theta_a, theta_out, ln_surv, tol, x0)
 
 
 def sukhatme_last_card_table(max_label, tol=1e-6):
@@ -595,7 +598,7 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
         v = float(_head_log_survival(np.array([x]), others)[0])
         return (v, v)
 
-    return _telescoped_integral(theta_a, float(w.weights.min()), ln_surv, tol)
+    return _telescoped_integral(theta_a, float(others.min()), ln_surv, tol)
 
 
 def limit_bottom_pmf_mc(seq, a, size, rng):

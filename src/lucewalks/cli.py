@@ -37,7 +37,7 @@ import warnings
 import numpy as np
 
 from . import __version__, kernels
-from .arrangements import (WEIGHT_SUM_TOL, ChamberChain, Permutation, SignVector,
+from .arrangements import (ChamberChain, Permutation, SignVector,
                            brown_diaconis_sample_many, ehrenfest_face_weights,
                            enumerate_chambers, graph_coloring_face_weights,
                            riffle_face_weights, stationary_exact, transition_matrix,
@@ -304,9 +304,10 @@ def _build_face_table(args):
     model = args.model
     if model == "tsetlin":
         w = resolve_weight_vector(args)
-        if abs(w.total - 1.0) > WEIGHT_SUM_TOL:
-            raise PreconditionError(f"--weights sum to {w.total!r}, not 1; add --normalize")
-        return tsetlin_face_weights(w)
+        try:
+            return tsetlin_face_weights(w)
+        except PreconditionError as exc:  # the table's sum rule; the flag mends it
+            raise PreconditionError(f"{exc}; add --normalize") from exc
     if model == "riffle":
         if args.dim is None:
             raise PreconditionError("--dim is required for the riffle model")

@@ -514,6 +514,17 @@ class TestFiniteN:
             got = finite_n_bottom_pmf(w, a)
             assert got == pytest.approx(luce_pmf(w, tuple(reversed(a))), abs=1e-12)
 
+    @pytest.mark.parametrize("w", [[1e-6, 1.0, 1.0], [1.0, 1e6, 1e6], [1e-6, 1.0, 2.0, 3.0]],
+                             ids=str)
+    def test_weights_decades_apart(self, w):
+        # no one unit fits every weight: unclamped, the power of y reached 999999
+        # and label 2 read 0.0; the survival's turn-on, a sliver by y = 1,
+        # needs its own interval, or label 1 reads 1.0
+        for a in itertools.chain(itertools.permutations(range(1, len(w) + 1), 1),
+                                 itertools.permutations(range(1, len(w) + 1), 2)):
+            got = finite_n_bottom_pmf(w, a)
+            assert got == pytest.approx(enumeration_bottom_prob(w, a), rel=0.0, abs=1e-10), a
+
     def test_bad_labels(self):
         with pytest.raises(PreconditionError):
             finite_n_bottom_pmf([1.0, 2.0], (1, 1))
@@ -521,6 +532,34 @@ class TestFiniteN:
             finite_n_bottom_pmf([1.0, 2.0], (3,))
         with pytest.raises(PreconditionError):
             finite_n_bottom_pmf([1.0, 2.0], ())
+
+
+class TestTinyFirstWeight:
+    """theta_1 = 1e-6 c and theta_i = c i after it: the weights span six decades."""
+
+    @staticmethod
+    def direct(label):
+        # integral_0^inf theta e^{-theta x} prod_{i != label} (1 - e^{-theta_i x}) dx
+        # in x itself, at c = 1; past x = 60 the product is 1 to e^-120
+        from scipy import integrate
+
+        th = np.concatenate([[1e-6], np.arange(2.0, 6001.0)])
+        t = th[label - 1]
+        others = np.delete(th, label - 1)
+
+        def f(x):
+            return t * math.exp(-t * x + np.log1p(-np.exp(-others * x)).sum()) if x > 0 else 0.0
+
+        head, _ = integrate.quad(f, 0.0, 60.0, epsabs=1e-18, epsrel=1e-12, limit=500,
+                                 points=[0.05, 0.5, 2.0, 10.0])
+        return head + math.exp(-60.0 * t)
+
+    @pytest.mark.parametrize("label", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_against_direct_integral(self, label, c):
+        seq = WeightSequence(lambda i: c * (1e-6 if i == 1 else float(i)), monotone=True)
+        got = limit_bottom_pmf(seq, (label,), tol=1e-12)
+        assert got == pytest.approx(self.direct(label), rel=0.0, abs=1e-12)
 
 
 class TheoremFiniteToLimit:

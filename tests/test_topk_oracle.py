@@ -1,8 +1,8 @@
 """The blocked e_k recurrence against the one-weight-at-a-time loop it replaced.
 
 ``loop_recurrence`` is a copy of the earlier ``topk._symmetric_recurrence``:
-one numpy step per weight.  Up to two blocks of weights, where the library
-runs that loop itself, it must agree with it bit for bit; past that, to 1e-12.
+one numpy step per weight.  Up to one block of weights the library must
+agree with it bit for bit; past that, to 1e-12.
 """
 
 import math
@@ -45,13 +45,13 @@ def ks_for(n):
 
 
 class TestBitIdenticalWithinOneBlock:
-    @pytest.mark.parametrize("n", [1, 2, 7, 50, BLOCK - 1, BLOCK, 2 * BLOCK])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, BLOCK - 1, BLOCK])
     def test_tv_exact(self, n):
         w = simplex(n, n)
         for k in ks_for(n):
             assert tv_exact(w, k) == loop_tv(w, k), k
 
-    @pytest.mark.parametrize("n", [3, 50, BLOCK - 1, BLOCK, 2 * BLOCK])
+    @pytest.mark.parametrize("n", [3, 50, BLOCK - 1, BLOCK])
     def test_elementary_symmetric(self, n):
         raw = np.random.default_rng(n).uniform(0.5, 2.0, n)
         for k in ks_for(n):
