@@ -481,14 +481,14 @@ def convergence_test(seq):
 # bottom-card pmfs
 # ---------------------------------------------------------------------------
 
-def _telescoped_integral(theta_a, theta_out, log_survival_bracket, tol, x0=0.0):
+def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
     """prefactor * integral_0^1 (theta_k/u) y^(T_k/u - 1) * survival(x=-log(y)/u) dy.
 
     u, the least weight clamped to [T_k/64, T_k], makes the integrand
-    scale-free and keeps the power of y in [0, 63].  The survival product
-    varies at x below 40/theta_out, ``theta_out`` the least weight outside
-    ``a``; where that is a sliver by y = 1 that the first rule's nodes miss,
-    its edge is a breakpoint, as is ``x0`` > 0, where the integrand turns on.
+    scale-free and keeps the power of y in [0, 63].  Each weight theta of
+    the sorted array ``outside`` (not in ``a``) steps the survival up at x
+    below 40/theta; a step by y = 1 that the first rule's nodes miss, out of
+    reach of the step below it, has its edge as a breakpoint, as has x0 > 0.
     ``log_survival_bracket(x)`` returns (lo, hi) enclosing the log survival
     product.  The integrand uses the midpoint; the worst node-wise gap of the
     envelope joins the quadrature error before the tolerance check, so tails
@@ -498,7 +498,7 @@ def _telescoped_integral(theta_a, theta_out, log_survival_bracket, tol, x0=0.0):
     t_partial = np.cumsum(th)
     prefactor = float(np.prod(th[1:-1] / t_partial[1:-1])) if th.size > 2 else 1.0
     t_k = float(t_partial[-1])
-    u = min(t_k, max(min(float(th.min()), theta_out), t_k / 64.0))
+    u = min(t_k, max(min(float(th.min()), float(outside[0])), t_k / 64.0))
     power = t_k / u - 1.0
     scale = float(th[-1]) / u
     worst_gap = 0.0
@@ -518,8 +518,8 @@ def _telescoped_integral(theta_a, theta_out, log_survival_bracket, tol, x0=0.0):
         worst_gap = max(worst_gap, scale * math.exp(t_hi) - value)
         return value
 
-    edge = 40.0 / theta_out if 40.0 * u < 0.05 * theta_out else 0.0
-    points = sorted(math.exp(-u * x) for x in (x0, edge) if 0.0 < x < math.inf) or None
+    lone = outside[np.r_[True, outside[1:] > 64.0 * outside[:-1]] & (40.0 * u < 0.05 * outside)]
+    points = sorted(math.exp(-u * x) for x in [x0, *40.0 / lone] if 0.0 < x < math.inf) or None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(integrand, 0.0, 1.0,
@@ -559,8 +559,8 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
         if not report.converges:
             warnings.warn("limit law is defective; probabilities sum to less than one",
                           DefectiveMassWarning, stacklevel=2)
-    theta_out = seq.theta(min(set(range(1, len(a) + 2)) - exclude))
-    return _telescoped_integral(theta_a, theta_out, ln_surv, tol, x0)
+    outside = np.array([seq.theta(min(set(range(1, len(a) + 2)) - exclude))])  # the least
+    return _telescoped_integral(theta_a, outside, ln_surv, tol, x0)
 
 
 def sukhatme_last_card_table(max_label, tol=1e-6):
@@ -598,7 +598,7 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
         v = float(_head_log_survival(np.array([x]), others)[0])
         return (v, v)
 
-    return _telescoped_integral(theta_a, float(others.min()), ln_surv, tol)
+    return _telescoped_integral(theta_a, np.sort(others), ln_surv, tol)
 
 
 def limit_bottom_pmf_mc(seq, a, size, rng):

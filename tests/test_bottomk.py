@@ -514,12 +514,12 @@ class TestFiniteN:
             got = finite_n_bottom_pmf(w, a)
             assert got == pytest.approx(luce_pmf(w, tuple(reversed(a))), abs=1e-12)
 
-    @pytest.mark.parametrize("w", [[1e-6, 1.0, 1.0], [1.0, 1e6, 1e6], [1e-6, 1.0, 2.0, 3.0]],
-                             ids=str)
+    @pytest.mark.parametrize("w", [[1e-6, 1.0, 1.0], [1.0, 1e6, 1e6], [1e-6, 1.0, 2.0, 3.0],
+                                   [1.0, 2.0, 1e5], [1e-3, 1.0, 1e3, 1e6]], ids=str)
     def test_weights_decades_apart(self, w):
         # no one unit fits every weight: unclamped, the power of y reached 999999
-        # and label 2 read 0.0; the survival's turn-on, a sliver by y = 1,
-        # needs its own interval, or label 1 reads 1.0
+        # and label 2 read 0.0; a survival step in a sliver by y = 1 needs an
+        # interval of its own, or label 1 reads 1.0 (off by up to 1.5e-6)
         for a in itertools.chain(itertools.permutations(range(1, len(w) + 1), 1),
                                  itertools.permutations(range(1, len(w) + 1), 2)):
             got = finite_n_bottom_pmf(w, a)
