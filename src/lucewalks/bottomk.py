@@ -27,6 +27,10 @@ the survival product is a head of terms summed directly plus the tail
 f itself: each weight family writes one certified bracket of S_n, read by
 both f and this order sum.  An importance-sampling Monte Carlo estimator is
 provided as an independent cross-check.
+
+``scipy.integrate`` is imported on first use, so importing this module loads
+no scipy; the module global ``integrate`` is bound then and is the one place
+the quadrature is looked up.
 """
 
 import math
@@ -34,8 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import logsumexp
 
 from .core import _check_labels, _check_tol, as_weight_vector
 from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError
@@ -58,6 +60,15 @@ __all__ = [
 
 LOG_PRODUCT_FLOOR = -700.0  # survival products below e^-700 are flushed to zero
 _TERMS_MAX = 1 << 21
+
+
+def __getattr__(name):
+    """Import ``scipy.integrate`` on first use and bind it as the global ``integrate``."""
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global integrate
+    from scipy import integrate
+    return integrate
 
 
 class WeightSequence:
@@ -331,13 +342,19 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
 # f and the convergence classifier
 # ---------------------------------------------------------------------------
 
+def _logsumexp(a):
+    """log(sum(exp(a))) without overflow; -inf when every entry is -inf."""
+    top = a.max()
+    return top if top == -math.inf else top + math.log(np.exp(a - top).sum())
+
+
 def _condensation_finite(seq, x):
     """Cauchy condensation: f(x) counts as finite when, over the first 2^16 weights,
     the window [2^15, 2^16) sums to less than [2^14, 2^15) (in log space, so
     large x cannot underflow both to 0).  A heuristic: it resolves x0 to about 2^-15.
     """
     prefix = seq.thetas(1 << 16)
-    return logsumexp(-x * prefix[1 << 15:]) < logsumexp(-x * prefix[1 << 14:1 << 15])
+    return _logsumexp(-x * prefix[1 << 15:]) < _logsumexp(-x * prefix[1 << 14:1 << 15])
 
 
 def f_eval(seq, x, tol=1e-10):
@@ -520,11 +537,12 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
 
     lone = outside[np.r_[True, outside[1:] > 64.0 * outside[:-1]] & (40.0 * u < 0.05 * outside)]
     points = sorted(math.exp(-u * x) for x in [x0, *40.0 / lone] if 0.0 < x < math.inf) or None
+    quadpack = globals().get("integrate") or __getattr__("integrate")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, abserr = integrate.quad(integrand, 0.0, 1.0,
-                                     epsabs=0.5 * tol, epsrel=min(1e-8, 0.1 * tol),
-                                     limit=300, points=points)
+        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
+        val, abserr = quadpack.quad(integrand, 0.0, 1.0,
+                                    epsabs=0.5 * tol, epsrel=min(1e-8, 0.1 * tol),
+                                    limit=300, points=points)
     # the y interval has unit length, so max node gap bounds its integral
     if abserr + worst_gap > tol:
         raise ToleranceError(

@@ -200,14 +200,17 @@ def resolve_weight_vector(args):
 
 
 def resolve_weight_sequence(args):
-    """--family as a WeightSequence; ``log`` takes --beta where the command has it."""
+    """--family as a WeightSequence; --beta, where the command has it, scales ``log`` only."""
     fam = getattr(args, "family", None)
     if fam not in SEQUENCE_FAMILIES:
         raise PreconditionError(
             f"weight spec: --family must be one of {tuple(SEQUENCE_FAMILIES)}")
-    if fam == "log" and hasattr(args, "beta"):
-        return SEQUENCE_FAMILIES[fam](args.beta)
-    return SEQUENCE_FAMILIES[fam]()
+    beta = getattr(args, "beta", None)
+    if beta is None:
+        return SEQUENCE_FAMILIES[fam]()
+    if fam != "log":
+        raise PreconditionError(f"--beta applies to --family log only, not {fam!r}")
+    return SEQUENCE_FAMILIES[fam](beta)
 
 
 def _parse_labels(text, what):
@@ -439,7 +442,8 @@ def build_parser():
 
     p = sub.add_parser("converge-test", help="classify the reversed-order limit")
     p.add_argument("--family", required=True)
-    p.add_argument("--beta", type=float, default=1.0, help="log family scale; x0 = 1/beta")
+    p.add_argument("--beta", type=float, default=None,
+                   help="log family scale (default 1); x0 = 1/beta")
     _add_common(p)
     p.set_defaults(func=_cmd_converge_test)
 

@@ -8,6 +8,8 @@ or parameter would only surface in a benchmark run, so this checks them here.
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,42 @@ def test_module_bindings():
 
     assert callable(bottomk.integrate.quad)
     assert isinstance(kernels.BACKEND, str)
+
+
+LAZY_BINDING = '''
+import scipy.integrate
+from lucewalks import bottomk
+
+assert "integrate" not in vars(bottomk)
+assert bottomk.integrate.quad is scipy.integrate.quad
+
+
+class Counting:
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(scipy.integrate, name)
+
+    def quad(self, *args, **kwargs):
+        self.calls += 1
+        return scipy.integrate.quad(*args, **kwargs)
+
+
+proxy = Counting()
+setattr(bottomk, "integrate", proxy)
+bottomk.limit_bottom_pmf(bottomk.linear_weights(), (1,))
+assert proxy.calls >= 1, proxy.calls
+assert not hasattr(bottomk, "no_such_name")
+'''
+
+
+def test_lazy_integrate_binding(tmp_path, child_env):
+    """``bottomk.integrate`` is bound on first use and read at each quadrature.
+
+    The tracer swaps a proxy in at that name, so it must be the one lookup
+    ``bottomk`` makes; a fresh process is needed to see it still unbound.
+    """
+    proc = subprocess.run([sys.executable, "-c", LAZY_BINDING], capture_output=True,
+                          text=True, cwd=tmp_path, env=child_env)
+    assert proc.returncode == 0, proc.stderr[-2000:]

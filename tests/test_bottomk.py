@@ -26,7 +26,7 @@ from lucewalks import (
     luce_pmf,
     sukhatme_last_card_table,
 )
-from lucewalks.bottomk import SEQUENCE_FAMILIES
+from lucewalks.bottomk import SEQUENCE_FAMILIES, _logsumexp
 
 # the ten last-card probabilities for theta_i = i, frozen reference values
 LAST_CARD_TABLE = [
@@ -452,6 +452,43 @@ class TestConvergenceCriterionTheorem:
         d = convergence_test(constant_weights()).to_dict()
         assert d["x0"] == "inf"
         assert d["converges"] is False
+
+    @pytest.mark.parametrize("evaluator,x0", [
+        (lambda i: 1.5 * math.log(i + 1), 0.666698425833097),
+        (lambda i: float(i), 2.9370838931860597e-05),
+        (lambda i: 2.0 * math.log(i + 1), 0.5000238193748225),
+        (lambda i: math.log(i + 1) + 2.0 * math.log(math.log(i + 2)), 0.8386182803338824),
+        (math.sqrt, 0.01094088140657706),
+    ], ids=["1.5log", "linear", "2log", "log+2loglog", "sqrt"])
+    def test_condensation_x0_pinned(self, evaluator, x0):
+        # the bisection's every comparison of the two window log-sums is pinned
+        assert convergence_test(WeightSequence(evaluator, monotone=True)).x0 == x0
+
+
+class TestLogSumExp:
+    """The condensation test's log-sum against scipy's."""
+
+    @staticmethod
+    def _reference(a):
+        from scipy.special import logsumexp
+
+        return float(logsumexp(a))
+
+    @pytest.mark.parametrize("size", [1, 7, 1000, 1 << 15])
+    @pytest.mark.parametrize("centre", [0.0, 700.0, -700.0])
+    def test_matches_scipy(self, size, centre):
+        a = centre + 5.0 * np.random.default_rng(size).standard_normal(size)
+        assert math.isclose(_logsumexp(a), self._reference(a), rel_tol=1e-14)
+
+    def test_minus_inf_entries(self):
+        a = np.random.default_rng(3).standard_normal(1000) - 700.0
+        a[::3] = -math.inf
+        assert math.isclose(_logsumexp(a), self._reference(a), rel_tol=1e-14)
+
+    def test_all_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _logsumexp(np.full(16, -math.inf)) == -math.inf
 
 
 class TheoremLastCardTable:

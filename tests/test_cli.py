@@ -176,6 +176,20 @@ class TestConvergeTest:
         doc = read_json_text(out)
         assert float(doc["x0"]) == pytest.approx(0.25)
 
+    def test_log_beta2_output(self, run):
+        code, out, _ = run("converge-test", "--family", "log", "--beta", "2")
+        assert code == 0
+        assert out == ('{"x0": 0.5, "f_at_x0": "infinite", "converges": true, '
+                       '"method": "analytic", "caveat": null}\n')
+
+    @pytest.mark.parametrize("family,beta", [("log-loglog", "-3"), ("linear", "5")])
+    def test_beta_other_family_exit_3(self, run, tmp_path, family, beta):
+        # only the log family has a scale; elsewhere --beta would be ignored
+        code, out, err = run("converge-test", "--family", family, "--beta", beta)
+        assert code == 3 and out == ""
+        assert "--beta applies to --family log only" in err
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 3
+
     @pytest.mark.parametrize("beta", ["inf", "nan"])
     def test_non_finite_beta_exit_3(self, run, beta):
         code, out, err = run("converge-test", "--family", "log", "--beta", beta)
