@@ -491,12 +491,9 @@ def brown_diaconis_sample_many(table, size, rng):
     if not is_separating(table):
         raise PreconditionError("face weights are not separating")
     orders = kernels.weighted_order_many(table.weights, rng.random((size, table.m)))
-    # the kernels project a start row, last face first; separating faces overwrite all of it
     if table.kind == "boolean":
-        return kernels.apply_boolean_reverse(table.entries_matrix(), orders,
-                                             np.ones(table.dim, dtype=np.int8))
-    out = kernels.apply_braid_reverse(table.entries_matrix(), orders, np.arange(table.dim))
-    return out + 1
+        return kernels.apply_boolean_reverse(table.entries_matrix(), orders)
+    return kernels.apply_braid_reverse(table.entries_matrix(), orders) + 1
 
 
 def brown_diaconis_sample(table, rng):

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 LOG_PRODUCT_FLOOR = -700.0  # survival products below e^-700 are flushed to zero
+_HEAD_START = 32  # least head of the survival sum; the head doubles from here
 _TERMS_MAX = 1 << 21
 
 
@@ -303,7 +304,7 @@ def _head_log_survival(x, th):
                    for j in range(0, th.size, step))
 
 
-def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
+def _log_survival_bracket(seq, x, exclude, rel_tol):
     """Bracket of sum over i not in ``exclude`` of log(1 - e^{-theta_i x}).
 
     ``x`` is an array of nodes; returns arrays (lo, hi).  (-inf, -inf) means
@@ -317,7 +318,7 @@ def _log_survival_bracket(seq, x, exclude, rel_tol, min_terms=0):
     hi = np.empty(x.shape)
     partial = np.zeros(x.shape)
     live = np.arange(x.size)
-    n = max(32, 2 * max(exclude, default=0), int(min_terms))
+    n = max(_HEAD_START, 2 * max(exclude, default=0))
     th = np.delete(seq.thetas(n)[:n - 1], [i - 1 for i in exclude])
     while True:
         partial[live] += _head_log_survival(x[live], th)
@@ -400,23 +401,24 @@ def f_eval(seq, x, tol=1e-10):
 class ConvergenceReport:
     """Outcome of the reversed-order convergence test.
 
-    ``converges`` is true exactly when x0 is finite and f(x0) is infinite,
-    and None when f(x0) is ``"undetermined"``.
+    ``converges`` is derived from x0 and f(x0), not stored (see the property).
     """
 
     x0: float
     f_at_x0: str
-    converges: bool | None
     method: str
     caveat: str | None = None
 
     def __post_init__(self):
         if self.f_at_x0 not in ("finite", "infinite", "undetermined"):
             raise PreconditionError("f_at_x0 must be 'finite', 'infinite' or 'undetermined'")
-        expected = None if self.f_at_x0 == "undetermined" else \
-            math.isfinite(self.x0) and self.f_at_x0 == "infinite"
-        if self.converges != expected:
-            raise PreconditionError("converges flag inconsistent with x0 / f(x0)")
+
+    @property
+    def converges(self):
+        """True exactly when x0 is finite and f(x0) infinite; None when f(x0) is undetermined."""
+        if self.f_at_x0 == "undetermined":
+            return None
+        return math.isfinite(self.x0) and self.f_at_x0 == "infinite"
 
     def to_dict(self):
         return {
@@ -441,9 +443,7 @@ def convergence_test(seq):
     """Classify whether the reversed draw order has a (proper) limit law."""
     if seq.family in _ANALYTIC_CLASSIFICATION:
         x0_of, f_at = _ANALYTIC_CLASSIFICATION[seq.family]
-        x0 = x0_of(seq.beta)
-        converges = math.isfinite(x0) and f_at == "infinite"
-        return ConvergenceReport(x0=x0, f_at_x0=f_at, converges=converges, method="analytic")
+        return ConvergenceReport(x0=x0_of(seq.beta), f_at_x0=f_at, method="analytic")
     if not seq.monotone:
         raise PreconditionError("convergence_test requires a monotone sequence")
 
@@ -462,8 +462,7 @@ def convergence_test(seq):
         hi *= 2.0
         doublings += 1
         if doublings > 60:
-            return ConvergenceReport(x0=math.inf, f_at_x0="finite", converges=False,
-                                     method="numeric-best-effort",
+            return ConvergenceReport(x0=math.inf, f_at_x0="finite", method="numeric-best-effort",
                                      caveat=caveat or "no finite point located")
     lo = hi / 2.0
     halvings = 0
@@ -490,7 +489,6 @@ def convergence_test(seq):
     probe = x0 if x0 > 0 else 1e-12 * unit
     infinite = float(np.exp(-probe * seq.thetas(1 << 16)).sum()) > 1e4
     return ConvergenceReport(x0=x0, f_at_x0="infinite" if infinite else "undetermined",
-                             converges=True if infinite else None,
                              method="numeric-best-effort", caveat=caveat)
 
 
@@ -552,7 +550,7 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
     return prefactor * val
 
 
-def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
+def limit_bottom_pmf(seq, a, tol=1e-8):
     """Limiting probability that the bottom cards read a_1, ..., a_k.
 
     a_1 is the very bottom card (last drawn), a_2 the one above it, and so
@@ -567,7 +565,7 @@ def limit_bottom_pmf(seq, a, tol=1e-8, min_terms=0):
     rel = min(1e-9, max(0.01 * tol, 1e-14))
 
     def ln_surv(x):
-        lo, hi = _log_survival_bracket(seq, [x], exclude, rel, min_terms)
+        lo, hi = _log_survival_bracket(seq, [x], exclude, rel)
         return lo[0], hi[0]
 
     x0 = 0.0

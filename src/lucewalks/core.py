@@ -263,9 +263,9 @@ def sample_urn_many(w, size, rng, method="auto"):
     return kernels.weighted_order_many(w.weights, uniforms) + 1
 
 
-def sample_urn(w, rng, method="auto"):
+def sample_urn(w, rng):
     """One permutation from the urn scheme."""
-    return Permutation(sample_urn_many(w, 1, rng, method=method)[0])
+    return Permutation(sample_urn_many(w, 1, rng)[0])
 
 
 def sample_exponential_many(w, size, rng):

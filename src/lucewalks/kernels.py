@@ -72,24 +72,24 @@ def project_orders(orders, block_ids):
 # reverse-order face projection chains
 # ---------------------------------------------------------------------------
 
-def apply_boolean_reverse(face_entries, orders, reference):
+def apply_boolean_reverse(face_entries, orders):
     """Apply Boolean face projections in reverse draw order.
 
     Parameters
     ----------
     face_entries : (m, d) int8 with values in {-1, 0, +1}
     orders : (n_samples, m) int64, rows are draw orders of the m faces
-    reference : (d,) int8 chamber the projections start from
 
     Returns
     -------
-    (n_samples, d) int8 array of resulting chambers.
+    (n_samples, d) int8 array of resulting chambers.  The projections start
+    from the all-+1 row; separating faces overwrite every entry of it.
     """
-    return _reverse_chain(project_signs, np.asarray(face_entries, dtype=np.int8), orders,
-                          np.asarray(reference, dtype=np.int8))
+    faces = np.asarray(face_entries, dtype=np.int8)
+    return _reverse_chain(project_signs, faces, orders, np.ones(faces.shape[1], dtype=np.int8))
 
 
-def apply_braid_reverse(face_block_ids, orders, reference_order):
+def apply_braid_reverse(face_block_ids, orders):
     """Apply braid face projections in reverse draw order.
 
     Parameters
@@ -97,20 +97,21 @@ def apply_braid_reverse(face_block_ids, orders, reference_order):
     face_block_ids : (m, n) int64; entry [f, lab] is the 0-based block index
         containing 0-based label ``lab`` in face f (blocks numbered top down)
     orders : (n_samples, m) int64 face draw orders
-    reference_order : (n,) int64, 0-based labels listed top to bottom
 
     Returns
     -------
-    (n_samples, n) int64 array of resulting chamber orders.
+    (n_samples, n) int64 array of resulting chamber orders, 0-based labels
+    listed top to bottom.  The projections start from the identity order;
+    separating faces overwrite every entry of it.
     """
-    return _reverse_chain(project_orders, np.asarray(face_block_ids, dtype=np.int64), orders,
-                          np.asarray(reference_order, dtype=np.int64))
+    faces = np.asarray(face_block_ids, dtype=np.int64)
+    return _reverse_chain(project_orders, faces, orders, np.arange(faces.shape[1]))
 
 
-def _reverse_chain(project, faces, orders, reference):
-    """Project ``reference`` onto each row's faces, last drawn first."""
+def _reverse_chain(project, faces, orders, start):
+    """Project the row ``start`` onto each row's faces, last drawn first."""
     orders = np.asarray(orders, dtype=np.int64)
-    out = np.repeat(reference[None, :], orders.shape[0], axis=0)
+    out = np.repeat(start[None, :], orders.shape[0], axis=0)
     for t in range(orders.shape[1] - 1, -1, -1):
         out = project(out, faces[orders[:, t]])
     return out

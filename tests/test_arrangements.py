@@ -565,10 +565,12 @@ class TestUrnSamplerTheorem:
         for _ in range(3):
             if table.kind == "boolean":
                 start = np_rng.choice(np.array([-1, 1], dtype=np.int8), size=table.dim)
-                got = kernels.apply_boolean_reverse(table.entries_matrix(), orders, start)
+                got = kernels._reverse_chain(kernels.project_signs, table.entries_matrix(),
+                                             orders, start)
             else:
                 start = np_rng.permutation(table.dim)
-                got = kernels.apply_braid_reverse(table.entries_matrix(), orders, start) + 1
+                got = kernels._reverse_chain(kernels.project_orders, table.entries_matrix(),
+                                             orders, start) + 1
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [3, 8, 30, 200])

@@ -1,5 +1,6 @@
 """Bottom-of-the-deck limits: convergence classification and the limiting pmf."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from lucewalks import (
     luce_pmf,
     sukhatme_last_card_table,
 )
+from lucewalks import bottomk
 from lucewalks.bottomk import SEQUENCE_FAMILIES, _logsumexp
 
 # the ten last-card probabilities for theta_i = i, frozen reference values
@@ -433,20 +435,22 @@ class TestConvergenceCriterionTheorem:
     def test_report_invariant(self):
         from lucewalks import ConvergenceReport
 
-        with pytest.raises(PreconditionError):
-            ConvergenceReport(
-                x0=math.inf, f_at_x0="infinite", converges=True, method="analytic", caveat=None
-            )
+        # the flag is derived: true exactly for finite x0 with f(x0) infinite
+        for x0, f_at in itertools.product((0.0, 0.5, math.inf),
+                                          ("finite", "infinite", "undetermined")):
+            rep = ConvergenceReport(x0=x0, f_at_x0=f_at, method="analytic")
+            want = None if f_at == "undetermined" else math.isfinite(x0) and f_at == "infinite"
+            assert rep.converges is want, (x0, f_at)
+            assert json.loads(json.dumps(rep.to_dict()))["converges"] is want
 
     def test_report_undetermined_invariant(self):
         from lucewalks import ConvergenceReport
 
-        ok = ConvergenceReport(x0=0.5, f_at_x0="undetermined", converges=None,
-                               method="numeric-best-effort")
-        assert json.loads(json.dumps(ok.to_dict()))["converges"] is None
-        for f_at, flag in (("undetermined", False), ("undetermined", True), ("finite", None)):
-            with pytest.raises(PreconditionError):
-                ConvergenceReport(x0=0.5, f_at_x0=f_at, converges=flag, method="analytic")
+        with pytest.raises(TypeError):
+            ConvergenceReport(x0=0.5, f_at_x0="infinite", converges=True, method="analytic")
+        with pytest.raises(PreconditionError):
+            ConvergenceReport(x0=0.5, f_at_x0="maybe", method="analytic")
+        assert "converges" not in {f.name for f in dataclasses.fields(ConvergenceReport)}
 
     def test_report_to_dict(self):
         d = convergence_test(constant_weights()).to_dict()
@@ -634,11 +638,12 @@ class TestTruncationStabilityTheorem:
             (log_weights(2.0), (1,)),
         ],
     )
-    def test_min_terms_insensitive(self, seq, a):
+    def test_min_terms_insensitive(self, monkeypatch, seq, a):
         tol = 1e-8
         base = limit_bottom_pmf(seq, a, tol=tol)
         for m in (64, 128, 512):
-            again = limit_bottom_pmf(seq, a, tol=tol, min_terms=m)
+            monkeypatch.setattr(bottomk, "_HEAD_START", m)
+            again = limit_bottom_pmf(seq, a, tol=tol)
             assert abs(again - base) < tol
 
 

@@ -26,8 +26,7 @@ def random_boolean_case(gen, m, d, size):
     orders = gen.integers(0, m, size=(size, m)).astype(np.int64)
     for row in orders:
         row[:] = gen.permutation(m)
-    reference = gen.choice(np.array([-1, 1], dtype=np.int8), size=d)
-    return entries, orders, reference
+    return entries, orders
 
 
 def random_braid_case(gen, m, n, size):
@@ -45,8 +44,7 @@ def random_braid_case(gen, m, n, size):
     orders = np.zeros((size, m), dtype=np.int64)
     for row in orders:
         row[:] = gen.permutation(m)
-    reference = gen.permutation(n).astype(np.int64)
-    return ids, orders, reference
+    return ids, orders
 
 
 class TestBackend:
@@ -96,24 +94,25 @@ class TestWeightedOrder:
         assert tv <= 0.01
 
 
-def boolean_oracle(entries, orders, reference):
-    # sequential projections, first drawn face outermost
+def boolean_oracle(entries, orders):
+    # sequential projections from the all-+1 row, first drawn face outermost
     out = np.empty((orders.shape[0], entries.shape[1]), dtype=np.int8)
     for s in range(orders.shape[0]):
-        c = SignVector(reference.tolist())
+        c = SignVector([1] * entries.shape[1])
         for t in range(orders.shape[1] - 1, -1, -1):
             c = project_boolean(c, SignVector(entries[orders[s, t]].tolist()))
         out[s] = c.to_array()
     return out
 
 
-def braid_oracle(ids, orders, reference):
+def braid_oracle(ids, orders):
+    # sequential projections from the identity order
     n = ids.shape[1]
     out = np.empty((orders.shape[0], n), dtype=np.int64)
     for s in range(orders.shape[0]):
         from lucewalks import Permutation
 
-        c = Permutation((reference + 1).tolist())
+        c = Permutation.identity(n)
         for t in range(orders.shape[1] - 1, -1, -1):
             row = ids[orders[s, t]]
             blocks = [frozenset(int(l + 1) for l in np.flatnonzero(row == b)) for b in range(row.max() + 1)]
@@ -125,12 +124,12 @@ def braid_oracle(ids, orders, reference):
 class TestApplyReverseOracle:
     def test_boolean_matches_sequential_projection(self, np_rng):
         for m, d in ((2, 3), (5, 4), (6, 5)):
-            entries, orders, reference = random_boolean_case(np_rng, m, d, 40)
-            got = apply_boolean_reverse(entries, orders, reference)
-            np.testing.assert_array_equal(got, boolean_oracle(entries, orders, reference))
+            entries, orders = random_boolean_case(np_rng, m, d, 40)
+            got = apply_boolean_reverse(entries, orders)
+            np.testing.assert_array_equal(got, boolean_oracle(entries, orders))
 
     def test_braid_matches_sequential_projection(self, np_rng):
         for m, n in ((2, 3), (4, 4), (5, 5)):
-            ids, orders, reference = random_braid_case(np_rng, m, n, 40)
-            got = apply_braid_reverse(ids, orders, reference)
-            np.testing.assert_array_equal(got, braid_oracle(ids, orders, reference))
+            ids, orders = random_braid_case(np_rng, m, n, 40)
+            got = apply_braid_reverse(ids, orders)
+            np.testing.assert_array_equal(got, braid_oracle(ids, orders))
