@@ -28,14 +28,15 @@ f itself: each weight family writes one certified bracket of S_n, read by
 both f and this order sum.  An importance-sampling Monte Carlo estimator is
 provided as an independent cross-check.
 
-``scipy.integrate`` is imported on first use, so importing this module loads
-no scipy; the module global ``integrate`` is bound then and is the one place
-the quadrature is looked up.
+The module global ``integrate`` is the one place the quadrature is looked
+up.  Its ``quad`` imports ``scipy.integrate`` on the first call, so importing
+this module loads no scipy.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,13 +64,16 @@ _HEAD_START = 32  # least head of the survival sum; the head doubles from here
 _TERMS_MAX = 1 << 21
 
 
-def __getattr__(name):
-    """Import ``scipy.integrate`` on first use and bind it as the global ``integrate``."""
-    if name != "integrate":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global integrate
-    from scipy import integrate
-    return integrate
+def _quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call, with ``IntegrationWarning`` muted."""
+    from scipy import integrate as quadpack
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
+        return quadpack.quad(func, a, b, **kwargs)
+
+
+integrate = SimpleNamespace(quad=_quad)
 
 
 class WeightSequence:
@@ -535,12 +539,8 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
 
     lone = outside[np.r_[True, outside[1:] > 64.0 * outside[:-1]] & (40.0 * u < 0.05 * outside)]
     points = sorted(math.exp(-u * x) for x in [x0, *40.0 / lone] if 0.0 < x < math.inf) or None
-    quadpack = globals().get("integrate") or __getattr__("integrate")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
-        val, abserr = quadpack.quad(integrand, 0.0, 1.0,
-                                    epsabs=0.5 * tol, epsrel=min(1e-8, 0.1 * tol),
-                                    limit=300, points=points)
+    val, abserr = integrate.quad(integrand, 0.0, 1.0, epsabs=0.5 * tol,
+                                 epsrel=min(1e-8, 0.1 * tol), limit=300, points=points)
     # the y interval has unit length, so max node gap bounds its integral
     if abserr + worst_gap > tol:
         raise ToleranceError(

@@ -62,39 +62,65 @@ def test_module_bindings():
 
 
 LAZY_BINDING = '''
-import scipy.integrate
+import importlib.util
+import math
+import sys
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))[:3]
+
+
+import lucewalks.cli
 from lucewalks import bottomk
 
-assert "integrate" not in vars(bottomk)
-assert bottomk.integrate.quad is scipy.integrate.quad
+quad = bottomk.integrate.quad
+assert not scipy_loaded(), scipy_loaded()
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install()
+assert not scipy_loaded(), scipy_loaded()
+tracer.uninstall()
+assert bottomk.integrate.quad is quad
 
 
 class Counting:
     def __init__(self):
         self.calls = 0
 
-    def __getattr__(self, name):
-        return getattr(scipy.integrate, name)
-
     def quad(self, *args, **kwargs):
         self.calls += 1
-        return scipy.integrate.quad(*args, **kwargs)
+        return quad(*args, **kwargs)
 
 
 proxy = Counting()
-setattr(bottomk, "integrate", proxy)
+bottomk.integrate = proxy
 bottomk.limit_bottom_pmf(bottomk.linear_weights(), (1,))
 assert proxy.calls >= 1, proxy.calls
-assert not hasattr(bottomk, "no_such_name")
+
+import scipy.integrate
+
+
+def f(x):
+    return math.exp(-x) * math.sin(3.0 * x) ** 2
+
+
+kwargs = dict(epsabs=1e-12, epsrel=1e-10, limit=200, points=[0.5, 2.0])
+assert quad(f, 0.0, 4.0, **kwargs) == scipy.integrate.quad(f, 0.0, 4.0, **kwargs)
 '''
 
 
 def test_lazy_integrate_binding(tmp_path, child_env):
-    """``bottomk.integrate`` is bound on first use and read at each quadrature.
+    """``bottomk.integrate`` loads scipy only when ``quad`` is called, and is read at each quadrature.
 
-    The tracer swaps a proxy in at that name, so it must be the one lookup
-    ``bottomk`` makes; a fresh process is needed to see it still unbound.
+    In a fresh process: importing ``lucewalks.cli``, reading the binding and
+    installing the tracer load no ``scipy`` module; a proxy set at that name
+    sees the quadrature calls; and ``quad`` returns what ``scipy.integrate.quad``
+    returns.
     """
-    proc = subprocess.run([sys.executable, "-c", LAZY_BINDING], capture_output=True,
-                          text=True, cwd=tmp_path, env=child_env)
+    proc = subprocess.run([sys.executable, "-c", LAZY_BINDING, str(TRACER_PATH)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env)
     assert proc.returncode == 0, proc.stderr[-2000:]
