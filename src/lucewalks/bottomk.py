@@ -405,7 +405,7 @@ def f_eval(seq, x, tol=1e-10):
 class ConvergenceReport:
     """Outcome of the reversed-order convergence test.
 
-    ``converges`` is derived from x0 and f(x0), not stored (see the property).
+    ``converges`` is a property derived from x0 and f(x0).
     """
 
     x0: float

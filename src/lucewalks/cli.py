@@ -14,9 +14,11 @@ Weight specs (--weights) are JSON, inline or in a file: a list ``[1,2,3]``,
 ``sukhatme`` (``"orientation"``, default descending) or ``zipf`` (exponent
 ``"s"``, default 1).  A file may hold whitespace-separated numbers instead.
 The names ``uniform``, ``sukhatme-asc``, ``sukhatme-desc`` and ``zipf``, with
---n >= 1 and --zipf-s, stand for the object spec.  ``linear``, ``constant``,
-``log`` and ``log-loglog`` are the sequence families of bottom-table and
-converge-test (--family).  Numbers print with 9 significant digits.
+--n >= 1 and (``zipf`` only) --zipf-s, stand for the object spec.  ``linear``,
+``constant``, ``log`` and ``log-loglog`` are the sequence families of
+bottom-table and converge-test (--family).  A flag that the command or the
+arrangement model does not read is refused (exit 3).  Labels must be
+integers.  Numbers print with 9 significant digits.
 Every run logs its seed to stderr and writes a ``run_manifest.json`` sidecar
 (directory from ``LUCEWALKS_OUTPUT_DIR``, default the working directory).
 
@@ -43,7 +45,7 @@ from .arrangements import (ChamberChain, Permutation, SignVector,
                            riffle_face_weights, stationary_exact, transition_matrix,
                            tsetlin_face_weights, walk_step)
 from .bottomk import SEQUENCE_FAMILIES, convergence_test, limit_bottom_pmf
-from .core import (WeightVector, _check_tol, luce_pmf, normalize,
+from .core import (WeightVector, _as_int, _check_tol, luce_pmf, normalize,
                    sample_exponential_many, sample_urn_many, sukhatme_weights)
 from .exceptions import DefectiveMassWarning, LucewalksError, PreconditionError, \
     ToleranceError
@@ -158,11 +160,11 @@ def _vector_from_spec(spec):
         return WeightVector(spec["weights"])
     fam = spec.get("family")
     if fam is None:
-        raise PreconditionError("weight spec: object needs 'weights' or 'family'")
+        raise PreconditionError("object needs 'weights' or 'family'")
     n = spec.get("n")
-    if n is None or int(n) < 1:
-        raise PreconditionError(f"weight spec: family {fam!r} needs n >= 1 (--n), got {n}")
-    n = int(n)
+    n = None if n is None else _as_int(n, "n")
+    if n is None or n < 1:
+        raise PreconditionError(f"family {fam!r} needs n >= 1 (--n), got {n}")
     if fam == "uniform":
         return WeightVector(np.full(n, 1.0 / n))
     if fam == "sukhatme":
@@ -170,20 +172,27 @@ def _vector_from_spec(spec):
     if fam == "zipf":
         s = float(spec.get("s", 1.0))
         return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
-    raise PreconditionError(f"weight spec: unknown family {fam!r}")
+    raise PreconditionError(f"unknown family {fam!r}")
 
 
 def resolve_weight_vector(args):
     """--weights as inline JSON, a readable file, or a family name (see the module doc).
 
-    A family name plus ``--n`` (and ``--zipf-s``) is the object spec it names.
+    A family name plus ``--n`` (and, for ``zipf``, ``--zipf-s``) is the object
+    spec it names; either flag with anything else is refused.
     """
     spec = getattr(args, "weights", None)
     if spec is None:
         raise PreconditionError("weight spec: --weights is required")
     s = spec.strip()
+    if s not in _NAMED_SPECS:
+        _refuse_given(args, ("n", "zipf_s"), "--weights without a family name")
+    elif s != "zipf":
+        _refuse_given(args, ("zipf_s",), f"--weights {s}")
     if s in _NAMED_SPECS:
-        parsed = dict(_NAMED_SPECS[s], n=args.n, s=args.zipf_s)
+        parsed = dict(_NAMED_SPECS[s], n=args.n)
+        if args.zipf_s is not None:
+            parsed["s"] = args.zipf_s
     elif s.startswith(("[", "{")):
         parsed = _parse_spec(s, "inline JSON")
     elif os.path.isfile(s):
@@ -213,11 +222,18 @@ def resolve_weight_sequence(args):
     return SEQUENCE_FAMILIES[fam](beta)
 
 
+def _refuse_given(args, dests, who):
+    """PreconditionError naming each flag of ``dests`` that ``args`` sets, since ``who`` ignores it."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d, None) not in (None, False)]
+    if given:
+        raise PreconditionError(f"{who} does not read {', '.join(given)}")
+
+
 def _parse_labels(text, what):
+    """Labels as a list of JSON values or a comma list of ints; the caller checks each value."""
     s = text.strip()
     try:
-        vals = json.loads(s) if s.startswith("[") else [int(t) for t in s.split(",")]
-        return tuple(int(v) for v in vals)
+        return json.loads(s) if s.startswith("[") else [int(t) for t in s.split(",")]
     except (json.JSONDecodeError, ValueError):
         raise PreconditionError(f"{what}: cannot parse {text!r}") from None
 
@@ -303,8 +319,15 @@ def _chamber_text(kind, chamber):
     return doc if kind == "boolean" else ",".join(map(str, doc))
 
 
+# the face-table flags each arrangement model reads; any other one given is refused
+_MODEL_FLAGS = {"tsetlin": ("weights", "n", "zipf_s", "normalize"), "riffle": ("dim",),
+                "ehrenfest": ("dim",), "coloring": ("graph",)}
+
+
 def _build_face_table(args):
     model = args.model
+    _refuse_given(args, [d for d in ("weights", "n", "zipf_s", "normalize", "dim", "graph")
+                         if d not in _MODEL_FLAGS[model]], f"--model {model}")
     if model == "tsetlin":
         w = resolve_weight_vector(args)
         try:
@@ -401,8 +424,8 @@ def _add_common(p):
 def _add_weight_opts(p):
     p.add_argument("--weights", help="inline JSON list, file path, or family name")
     p.add_argument("--n", type=int, default=None, help="size for family weight specs")
-    p.add_argument("--zipf-s", type=float, default=1.0, dest="zipf_s",
-                   help="zipf exponent (default 1.0)")
+    p.add_argument("--zipf-s", type=float, default=None, dest="zipf_s",
+                   help="zipf exponent, with --weights zipf only (default 1.0)")
     p.add_argument("--normalize", action="store_true",
                    help="scale the weight vector to sum to 1")
 

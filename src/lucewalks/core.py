@@ -96,13 +96,28 @@ class WeightVector:
         return f"WeightVector({self._weights.tolist()!r})"
 
 
+def _as_int(v, what):
+    """``v`` as an int: an int, a numpy integer or an integral float; else PreconditionError."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise PreconditionError(f"{what}: {v!r} is not an integer")
+
+
+def _as_ints(values, what):
+    """``values`` as a tuple of ints, each checked by :func:`_as_int`."""
+    vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    return vals if all(type(v) is int for v in vals) else tuple(_as_int(v, what) for v in vals)
+
+
 class Permutation:
     """A permutation of 1..n in draw order: ``p(j)`` is the j-th label drawn."""
 
     __slots__ = ("_mapping",)
 
     def __init__(self, mapping):
-        m = tuple(int(v) for v in mapping)
+        m = _as_ints(mapping, "permutation entry")
         if sorted(m) != list(range(1, len(m) + 1)):
             raise PreconditionError(f"not a permutation of 1..{len(m)}: {m}")
         self._mapping = m
@@ -181,7 +196,7 @@ def _check_labels(labels, n, distinct=True):
 
     ``n`` may be ``math.inf`` for the labels of an infinite weight sequence.
     """
-    labels = tuple(int(v) for v in labels)
+    labels = _as_ints(labels, "label")
     if not labels:
         raise PreconditionError("labels must be nonempty")
     if distinct and len(set(labels)) != len(labels):
@@ -211,6 +226,7 @@ def restrict(w, subset):
 
 def sukhatme_weights(n, orientation="descending"):
     """Integer weights n..1 (descending) or 1..n (ascending), unnormalized."""
+    n = _as_int(n, "n")
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if orientation == "descending":

@@ -447,6 +447,73 @@ class TestInputChecks:
         assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 3
 
 
+class TestUnreadFlags:
+    """A flag that the command or the model does not read is refused, not ignored."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "3", "--weights", "[1,2]",
+          "--samples", "4"), "--weights"),
+        (("arrangement", "sample-bd", "--model", "tsetlin", "--weights", "[0.5,0.5]", "--dim", "7",
+          "--samples", "4"), "--dim"),
+        (("arrangement", "sample-bd", "--model", "riffle", "--dim", "3", "--graph", "nofile.txt",
+          "--samples", "4"), "--graph"),
+        (("arrangement", "stationary", "--model", "riffle", "--dim", "3", "--normalize"),
+         "--normalize"),
+        (("arrangement", "sim", "--model", "coloring", "--graph", "g.txt", "--n", "3",
+          "--steps", "1"), "--n"),
+        (("pmf", "--weights", '{"family":"zipf","n":2}', "--n", "5", "--zipf-s", "3",
+          "--sigma", "1,2"), "--n, --zipf-s"),
+        (("pmf", "--weights", "[1,2]", "--n", "2", "--sigma", "1,2"), "--n"),
+        (("sample", "--weights", "uniform", "--n", "2", "--zipf-s", "3", "--n-samples", "2"),
+         "--zipf-s"),
+    ], ids=["ehrenfest_weights", "tsetlin_dim", "riffle_graph", "riffle_normalize",
+            "coloring_n", "spec_n_zipf_s", "list_n", "uniform_zipf_s"])
+    def test_exit_3_with_manifest(self, run, tmp_path, argv, flags):
+        code, out, err = run(*argv, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"does not read {flags}")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
+
+    def test_zipf_reads_its_exponent(self, run):
+        code, out, _ = run("pmf", "--weights", "zipf", "--n", "2", "--zipf-s", "3",
+                           "--sigma", "1,2")
+        assert code == 0
+        assert out == '{"pmf": 0.888888889}\n'
+
+
+class TestIntegerLabels:
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--weights", "[1,2,3]", "--sigma", "[1.5,2,3]"),
+        ("pmf", "--weights", "[1,2]", "--sigma", "[1e400,2]"),
+        ("pmf", "--weights", "[1,2]", "--sigma", "[null,2]"),
+        ("pmf", "--weights", "[1,2]", "--sigma", "[true,2]"),
+        ("arrangement", "sim", "--model", "tsetlin", "--weights", "[0.5,0.5]", "--steps", "1",
+         "--start", "[null,1]"),
+        ("pmf", "--weights", '{"family":"uniform","n":1e400}', "--sigma", "1"),
+        ("pmf", "--weights", '{"family":"sukhatme","n":2.5}', "--sigma", "1,2"),
+    ], ids=["fraction", "inf", "null", "bool", "start_null", "spec_n_inf", "spec_n_fraction"])
+    def test_exit_3_with_manifest(self, run, tmp_path, argv):
+        code, out, err = run(*argv, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].endswith("is not an integer")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["error"] == "PreconditionError" and doc["traceback"] is None
+
+    def test_integral_float_label_accepted(self, run):
+        assert run("pmf", "--weights", "[1,2,3]", "--sigma", "[3.0,2,1]")[1] == \
+            run("pmf", "--weights", "[1,2,3]", "--sigma", "3,2,1")[1]
+
+
+def test_weight_spec_prefix_once(run):
+    code, _, err = run("pmf", "--weights", '{"size": 3}', "--sigma", "1")
+    assert code == 3
+    assert err.splitlines()[-1] == \
+        "precondition error: weight spec: object needs 'weights' or 'family'"
+
+
 class TestPublicPaths:
     """CLI paths that no other test runs: braid --start forms and zero BD samples."""
 

@@ -85,6 +85,30 @@ class TestLucePmf:
             luce_pmf([1.0, 2.0], (1, 2, 3))
 
 
+class TestRelabellingEquivariance:
+    """Renaming the labels by pi and reading sigma through pi leaves the pmf unchanged, exactly."""
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_relabelled_pmf_is_identical(self, np_rng, n):
+        w = np_rng.uniform(0.2, 3.0, n)
+        for _ in range(20):
+            pi = np_rng.permutation(n)  # label i + 1 becomes pi[i] + 1
+            w_pi = np.empty(n)
+            w_pi[pi] = w
+            sigma = np_rng.permutation(n) + 1
+            assert luce_pmf(w_pi, pi[sigma - 1] + 1) == luce_pmf(w, sigma)
+
+    def test_every_order_at_n4(self, np_rng):
+        w = np_rng.uniform(0.2, 3.0, 4)
+        for pi in itertools.permutations(range(4)):
+            pi = np.array(pi)
+            w_pi = np.empty(4)
+            w_pi[pi] = w
+            for sigma in itertools.permutations(range(1, 5)):
+                sigma = np.array(sigma)
+                assert luce_pmf(w_pi, pi[sigma - 1] + 1) == luce_pmf(w, sigma)
+
+
 class TheoremNormalization:
     """The pmf sums to one over the whole symmetric group."""
 
@@ -166,6 +190,37 @@ class TestMarginalRestrictionTheorem:
             for tau, p in marg.items():
                 local = tuple(pos[lab] for lab in tau)
                 assert p == pytest.approx(luce_pmf(sub, local), abs=1e-10)
+
+
+class TestIntegerLabels:
+    """Labels and sizes must be integers; an integral float counts, a bool does not."""
+
+    @pytest.mark.parametrize("bad", [1.5, math.inf, math.nan, None, True, "1"])
+    def test_refused_everywhere(self, bad):
+        from lucewalks import finite_n_bottom_pmf, limit_bottom_pmf, linear_weights
+
+        for call in (lambda: luce_pmf([1.0, 2.0, 3.0], (bad, 2, 3)),
+                     lambda: Permutation([bad, 2]),
+                     lambda: restrict([1.0, 2.0, 3.0], (bad,)),
+                     lambda: limit_bottom_pmf(linear_weights(), (bad,)),
+                     lambda: finite_n_bottom_pmf([1.0, 2.0, 3.0], (bad,)),
+                     lambda: sukhatme_weights(bad)):
+            with pytest.raises(PreconditionError, match="not an integer"):
+                call()
+
+    def test_fractional_label_is_not_truncated(self):
+        # 1.9 was read as label 1
+        with pytest.raises(PreconditionError):
+            luce_pmf([1.0, 2.0, 3.0], (1.5, 2, 3))
+        with pytest.raises(PreconditionError):
+            sukhatme_weights(2.5)
+
+    def test_integral_values_accepted(self):
+        assert Permutation([2.0, np.int64(1), 3]).mapping == (2, 1, 3)
+        assert Permutation(np.array([3, 1, 2])).mapping == (3, 1, 2)
+        assert Permutation(np.array([3.0, 1.0, 2.0])).mapping == (3, 1, 2)
+        assert sukhatme_weights(3.0) == sukhatme_weights(3)
+        assert luce_pmf([1.0, 2.0, 3.0], (1.0, 2.0, 3.0)) == luce_pmf([1.0, 2.0, 3.0], (1, 2, 3))
 
 
 class TestSukhatmeWeights:

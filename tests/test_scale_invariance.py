@@ -2,7 +2,8 @@
 
 Every probability, and every threshold x0 times c, must therefore come out
 the same whatever the scale c of the weights.  Each test below compares a
-value at scale c with the same value at c = 1.
+value at scale c with the same value at c = 1; at c = 2^k the samplers and
+``luce_pmf`` must agree bit for bit.
 """
 
 import functools
@@ -22,6 +23,8 @@ from lucewalks import (
     limit_bottom_pmf_mc,
     log_weights,
     luce_pmf,
+    sample_exponential_many,
+    sample_urn_many,
 )
 
 LABELS = [(1,), (2, 5), (3, 1, 4)]
@@ -111,3 +114,17 @@ def test_classifier_x0_times_c(theta, c):
     ref, got = report(1.0), report(c)
     assert got.x0 * c == pytest.approx(ref.x0, rel=1e-12, abs=0.0)
     assert (got.f_at_x0, got.converges) == (ref.f_at_x0, ref.converges)
+
+
+@pytest.mark.parametrize("n", [3, 50, 500])
+@pytest.mark.parametrize("k", [1, 20, 40, -1, -20, -40])
+def test_power_of_two_scale_is_bit_identical(n, k):
+    # dividing by 2^k is exact, so every clock, every urn ratio and every
+    # sampled row is the same bit for bit
+    w = np.random.default_rng(n).uniform(0.2, 3.0, n)
+    c = 2.0 ** k
+    for sampler in (sample_urn_many, sample_exponential_many):
+        rows = sampler(w, 40, RngStream(n + 7))
+        np.testing.assert_array_equal(sampler(c * w, 40, RngStream(n + 7)), rows)
+    for sigma in rows[:5]:
+        assert luce_pmf(c * w, sigma) == luce_pmf(w, sigma)
