@@ -14,11 +14,11 @@ Weight specs (--weights) are JSON, inline or in a file: a list ``[1,2,3]``,
 ``sukhatme`` (``"orientation"``, default descending) or ``zipf`` (exponent
 ``"s"``, default 1).  A file may hold whitespace-separated numbers instead.
 The names ``uniform``, ``sukhatme-asc``, ``sukhatme-desc`` and ``zipf``, with
---n >= 1 and (``zipf`` only) --zipf-s, stand for the object spec.  ``linear``,
-``constant``, ``log`` and ``log-loglog`` are the sequence families of
-bottom-table and converge-test (--family).  A flag that the command or the
-arrangement model does not read is refused (exit 3).  Labels must be
-integers.  Numbers print with 9 significant digits.
+1 <= --n <= 10**7 and (``zipf`` only) --zipf-s, stand for the object spec.
+``linear``, ``constant``, ``log`` and ``log-loglog`` are the sequence families
+of bottom-table (--max-label at most 1000) and converge-test (--family).  A
+flag that the command or the arrangement model does not read is refused (exit
+3).  Labels must be integers.  Numbers print with 9 significant digits.
 Every run logs its seed to stderr and writes a ``run_manifest.json`` sidecar
 (directory from ``LUCEWALKS_OUTPUT_DIR``, default the working directory).
 
@@ -135,6 +135,11 @@ def read_jsonl_text(text):
 # weight specs
 # ---------------------------------------------------------------------------
 
+# a family spec's n above this is refused before its weights are allocated (80 MB)
+_FAMILY_N_MAX = 10**7
+# bottom-table makes one certified quadrature per label, 10-30 ms each
+_MAX_LABEL_MAX = 1000
+
 # a family name given to --weights stands for this object spec plus --n and --zipf-s
 _NAMED_SPECS = {"uniform": {"family": "uniform"}, "zipf": {"family": "zipf"},
                 "sukhatme-asc": {"family": "sukhatme", "orientation": "ascending"},
@@ -165,6 +170,8 @@ def _vector_from_spec(spec):
     n = None if n is None else _as_int(n, "n")
     if n is None or n < 1:
         raise PreconditionError(f"family {fam!r} needs n >= 1 (--n), got {n}")
+    if n > _FAMILY_N_MAX:
+        raise PreconditionError(f"family {fam!r} is capped at n = {_FAMILY_N_MAX}, got {n}")
     if fam == "uniform":
         return WeightVector(np.full(n, 1.0 / n))
     if fam == "sukhatme":
@@ -276,8 +283,9 @@ def _cmd_topk(args, rng):
 
 def _cmd_bottom_table(args, rng):
     seq = resolve_weight_sequence(args)
-    if args.max_label < 1:
-        raise PreconditionError("--max-label must be at least 1")
+    if not 1 <= args.max_label <= _MAX_LABEL_MAX:
+        raise PreconditionError(f"--max-label must be between 1 and {_MAX_LABEL_MAX}, "
+                                f"got {args.max_label}")
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DefectiveMassWarning)

@@ -514,6 +514,47 @@ def test_weight_spec_prefix_once(run):
         "precondition error: weight spec: object needs 'weights' or 'family'"
 
 
+class TestWorkCaps:
+    """Inputs whose work would not fit the host are refused with exit 3, not run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--weights", "uniform", "--n", "100000000000000", "--sigma", "1"),
+        ("sample", "--weights", "zipf", "--n", "10000001", "--n-samples", "1"),
+        ("topk", "--weights", '{"family":"sukhatme","n":10000001}', "--k", "2"),
+        ("bottom-table", "--family", "linear", "--max-label", "100000"),
+        ("bottom-table", "--family", "log", "--max-label", "1001"),
+    ], ids=["pmf_n_1e14", "sample_n_over_cap", "topk_spec_n_over_cap", "max_label_1e5",
+            "max_label_over_cap"])
+    def test_exit_3_with_manifest(self, run, tmp_path, monkeypatch, argv):
+        def refuse(*a, **k):
+            raise AssertionError("work started before the cap was checked")
+
+        monkeypatch.setattr(lucewalks.cli.np, "full", refuse)
+        monkeypatch.setattr(lucewalks.cli, "limit_bottom_pmf", refuse)
+        code, out, err = run(*argv, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("precondition error: ")
+        assert ("10000000" if argv[0] != "bottom-table" else "1000") in err
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
+
+    def test_caps_are_inclusive(self, run, monkeypatch):
+        monkeypatch.setattr(lucewalks.cli, "_FAMILY_N_MAX", 3)
+        monkeypatch.setattr(lucewalks.cli, "_MAX_LABEL_MAX", 2)
+        assert run("pmf", "--weights", "uniform", "--n", "3", "--sigma", "1,2,3")[0] == 0
+        assert run("pmf", "--weights", "uniform", "--n", "4", "--sigma", "1,2,3,4")[0] == 3
+        code, out, _ = run("bottom-table", "--family", "linear", "--max-label", "2",
+                           "--format", "csv")
+        assert code == 0 and len(read_csv_text(out)) == 2
+        assert run("bottom-table", "--family", "linear", "--max-label", "3")[0] == 3
+
+    def test_readme_states_caps(self):
+        text = README.read_text()
+        assert f"{lucewalks.cli._FAMILY_N_MAX:,}" in text
+        assert f"between 1 and {lucewalks.cli._MAX_LABEL_MAX}" in text
+
+
 class TestPublicPaths:
     """CLI paths that no other test runs: braid --start forms and zero BD samples."""
 

@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lucewalks import RngStream, luce_pmf
+from lucewalks import RngStream, kernels, luce_pmf, normalize
 from lucewalks.arrangements import (
     BlockOrderedSetPartition,
     SignVector,
+    brown_diaconis_sample_many,
     project_boolean,
     project_braid,
+    riffle_face_weights,
+    tsetlin_face_weights,
 )
 from lucewalks.kernels import (
     BACKEND,
@@ -133,3 +137,115 @@ class TestApplyReverseOracle:
             ids, orders = random_braid_case(np_rng, m, n, 40)
             got = apply_braid_reverse(ids, orders)
             np.testing.assert_array_equal(got, braid_oracle(ids, orders))
+
+
+def reverse_chain_from_identity(ids, orders):
+    return kernels._reverse_chain(kernels.project_orders, ids, orders, np.arange(ids.shape[1]))
+
+
+def tied_braid_case(gen, m, n, size):
+    # labels 0 and 1 share a block in every face, so no row's product is a chamber
+    ids, orders = random_braid_case(gen, m, n - 1, size)
+    return np.insert(ids, 1, ids[:, 0], axis=1), orders
+
+
+class TestForwardBraidProduct:
+    """``apply_braid_reverse`` computes F1 F2 ... Fm forward and must equal the reverse chain."""
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 4), (6, 5), (9, 7)])
+    def test_equals_oracles(self, np_rng, m, n):
+        for case in (random_braid_case, tied_braid_case) if n > 1 else (random_braid_case,):
+            ids, orders = case(np_rng, m, n, 60)
+            got = apply_braid_reverse(ids, orders)
+            np.testing.assert_array_equal(got, braid_oracle(ids, orders))
+            np.testing.assert_array_equal(got, reverse_chain_from_identity(ids, orders))
+
+    def test_many_random_tables(self, np_rng):
+        # separating or not, with block counts from 1 to n
+        for _ in range(200):
+            m, n = (int(v) for v in np_rng.integers(1, 9, size=2))
+            ids, orders = random_braid_case(np_rng, m, n, int(np_rng.integers(1, 40)))
+            np.testing.assert_array_equal(apply_braid_reverse(ids, orders),
+                                          reverse_chain_from_identity(ids, orders))
+
+    @pytest.mark.parametrize("headroom", [0, 1, 50])
+    def test_rerank_keeps_output(self, np_rng, monkeypatch, headroom):
+        calls = []
+        dense_rank = kernels._dense_rank
+
+        def counting(keys):
+            calls.append(keys.shape[0])
+            return dense_rank(keys)
+
+        monkeypatch.setattr(kernels, "_KEY_HEADROOM", headroom)
+        monkeypatch.setattr(kernels, "_dense_rank", counting)
+        m, n = 12, 6
+        ids, orders = tied_braid_case(np_rng, m, n, 80)
+        got = apply_braid_reverse(ids, orders)
+        np.testing.assert_array_equal(got, reverse_chain_from_identity(ids, orders))
+        if headroom <= 1:
+            assert len(calls) == m  # no row can finish, so every step re-ranks
+        else:
+            assert 0 < len(calls) <= m
+        ids, orders = random_braid_case(np_rng, m, n, 80)
+        np.testing.assert_array_equal(apply_braid_reverse(ids, orders),
+                                      reverse_chain_from_identity(ids, orders))
+
+    @pytest.mark.parametrize("make,size", [
+        (lambda: riffle_face_weights(8), 2000),
+        (lambda: riffle_face_weights(12), 20),
+        (lambda: tsetlin_face_weights(normalize(np.arange(1.0, 31.0))), 20000),
+    ], ids=["riffle8", "riffle12", "tsetlin30"])
+    def test_brown_diaconis_equals_reverse_chain(self, make, size):
+        table = make()
+        got = brown_diaconis_sample_many(table, size, RngStream(2101))
+        orders = weighted_order_many(table.weights, RngStream(2101).random((size, table.m)))
+        np.testing.assert_array_equal(got - 1,
+                                      reverse_chain_from_identity(table.entries_matrix(), orders))
+
+
+def stable_clock_order(weights, u):
+    with np.errstate(divide="ignore"):
+        return np.argsort(-np.log(u) / weights, axis=1, kind="stable")
+
+
+class TestRaceSortRepair:
+    """The default argsort with tied rows re-sorted equals the stable argsort."""
+
+    @pytest.mark.parametrize("n", [kernels._STABLE_SORT_MAX_N - 1, kernels._STABLE_SORT_MAX_N,
+                                   kernels._STABLE_SORT_MAX_N + 1, 40])
+    @pytest.mark.parametrize("tie", ["infinite", "finite"])
+    def test_ties_at_chunk_edges(self, np_rng, monkeypatch, n, tie):
+        monkeypatch.setattr(kernels, "_TIE_CHUNK_CELLS", 16 * n)  # 16 rows per chunk
+        rows = 16 * 5 + 3  # a short last chunk
+        weights = np_rng.uniform(0.1, 5.0, size=n)
+        weights[-1] = weights[0]
+        u = np_rng.random((rows, n))
+        tied = [0, 15, 16, 31, 32, rows - 3, rows - 1]  # first chunk, both sides of edges, last
+        for r in tied:
+            if tie == "infinite":
+                u[r, [0, n // 2, n - 1]] = 0.0
+            else:
+                u[r, n - 1] = u[r, 0]
+        expected = stable_clock_order(weights, u)
+        np.testing.assert_array_equal(weighted_order_many(weights, u), expected)
+        np.testing.assert_array_equal(kernels._race_order(weights, u), expected)
+
+    def test_peak_memory_is_one_chunk(self, np_rng, monkeypatch):
+        assert 2**17 <= kernels._TIE_CHUNK_CELLS <= 2**20
+        chunk = 2**15
+        monkeypatch.setattr(kernels, "_TIE_CHUNK_CELLS", chunk)
+        rows, n = 400, 2000
+        weights = np_rng.uniform(0.5, 2.0, size=n)
+        u = np_rng.random((rows, n))
+        u[::50, :3] = 0.0  # some rows need the stable re-sort
+        tracemalloc.start()
+        try:
+            got = kernels._race_order(weights, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, stable_clock_order(weights, u))
+        # the clocks, the result, and one chunk of sorted clocks with its flags;
+        # the slack holds the stable re-sort of a chunk's one tied row
+        assert peak <= 2 * u.nbytes + chunk * (8 + 2) + 2**17
