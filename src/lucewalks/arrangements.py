@@ -56,6 +56,7 @@ WEIGHT_SUM_TOL = 1e-12
 BOOLEAN_ENUM_MAX = 15   # 2^15 chambers
 BRAID_ENUM_MAX = 8      # 8! chambers
 KERNEL_NNZ_MAX = 1 << 26  # stored entries of a sparse kernel (768 MiB of CSR)
+TABLE_ENTRIES_MAX = 1 << 21  # faces x dim of a listed Tsetlin, Ehrenfest or coloring table
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _CHAR_SIGNS = {v: k for k, v in _SIGN_CHARS.items()}
@@ -405,13 +406,14 @@ def is_separating(table):
     """Whether the positive-weight faces leave no hyperplane uncrossed.
 
     Boolean kind: every coordinate is pinned by some face.  Braid kind:
-    every label pair is split into different blocks by some face.
+    every label pair is split into different blocks by some face, that is,
+    the labels' columns of block ids are all distinct.
     """
     ent = table.entries_matrix()
     if table.kind == "boolean":
         return bool(np.all(np.any(ent != 0, axis=0)))
-    split = ent[:, :, None] != ent[:, None, :]
-    return bool(np.all(np.any(split, axis=0) | np.eye(table.dim, dtype=bool)))
+    srt = ent[:, np.lexsort(ent)]  # equal columns end up adjacent
+    return bool(np.all(np.any(srt[:, 1:] != srt[:, :-1], axis=0)))
 
 
 def stationary_exact(matrix, tol=1e-10):
@@ -471,7 +473,7 @@ def stationary_exact(matrix, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# exact stationary sampling (urn of faces, reverse application)
+# exact stationary sampling (urn of faces, product computed forward)
 # ---------------------------------------------------------------------------
 
 def brown_diaconis_sample_many(table, size, rng):
@@ -508,15 +510,24 @@ def brown_diaconis_sample(table, rng):
 # named face weight tables
 # ---------------------------------------------------------------------------
 
+def _check_table_size(m, dim):
+    if m * dim > TABLE_ENTRIES_MAX:
+        raise PreconditionError(
+            f"face table needs {m} faces x {dim} = {m * dim} entries, "
+            f"over the cap of {TABLE_ENTRIES_MAX}")
+
+
 def tsetlin_face_weights(w):
     """Move-to-front moves: weight theta_i on the face {i} / rest.
 
     The walk pulls label i to the top with probability theta_i; its
     stationary law is the sequential weighted-draw pmf of the same weights.
-    The weights must sum to 1, within the table's ``WEIGHT_SUM_TOL``.
+    The weights must sum to 1, within the table's ``WEIGHT_SUM_TOL``, and
+    n * n must not pass ``TABLE_ENTRIES_MAX`` (n <= 1448).
     """
     w = as_weight_vector(w)
     n = w.n
+    _check_table_size(n, n)
     pairs = []
     for i in range(1, n + 1):
         rest = [j for j in range(1, n + 1) if j != i]
@@ -548,9 +559,14 @@ def riffle_face_weights(n):
 
 
 def ehrenfest_face_weights(d):
-    """Coordinate moves: weight 1/(2d) on each face pinning one coordinate."""
+    """Coordinate moves: weight 1/(2d) on each face pinning one coordinate.
+
+    The 2d faces of length d must not pass ``TABLE_ENTRIES_MAX`` entries
+    (d <= 1024).
+    """
     if d < 1:
         raise PreconditionError("d must be at least 1")
+    _check_table_size(2 * d, d)
     pairs = []
     for i in range(d):
         for s in (-1, 1):
@@ -599,9 +615,11 @@ def graph_coloring_face_weights(edges):
     Each move picks an edge uniformly and paints both endpoints a common
     uniform sign, so each (edge, sign) face carries weight 1/(2|E|).  The
     graph must be connected, so its vertices are 1..(largest endpoint).  The
-    walk is ``walk_step`` on a ``ChamberChain`` over this table.
+    walk is ``walk_step`` on a ``ChamberChain`` over this table.  Its
+    2|E| faces of length n must not pass ``TABLE_ENTRIES_MAX`` entries.
     """
     cleaned, n = _check_graph(edges)
+    _check_table_size(2 * len(cleaned), n)
     pairs = []
     for u, v in cleaned:
         for s in (-1, 1):

@@ -178,7 +178,9 @@ def _vector_from_spec(spec):
         return sukhatme_weights(n, spec.get("orientation", "descending"))
     if fam == "zipf":
         s = float(spec.get("s", 1.0))
-        return WeightVector(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
+        with np.errstate(over="ignore"):  # k ** s = inf gives weight 0, which is refused
+            weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** s
+        return WeightVector(weights)
     raise PreconditionError(f"unknown family {fam!r}")
 
 
@@ -340,7 +342,9 @@ def _build_face_table(args):
         w = resolve_weight_vector(args)
         try:
             return tsetlin_face_weights(w)
-        except PreconditionError as exc:  # the table's sum rule; the flag mends it
+        except PreconditionError as exc:
+            if "sum to" not in str(exc):  # of the table's rules, the flag mends the sum alone
+                raise
             raise PreconditionError(f"{exc}; add --normalize") from exc
     if model == "riffle":
         if args.dim is None:

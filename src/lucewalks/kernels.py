@@ -19,8 +19,8 @@ BACKEND = "numpy"
 # against repaired: n = 4 26 / 64 ms, n = 8 28 / 30 ms, n = 12 30 / 28 ms,
 # n = 32 39 / 21 ms.
 _STABLE_SORT_MAX_N = 8
-# Cells of sorted values gathered at a time when looking for ties.
-_TIE_CHUNK_CELLS = 2**18
+# Cells gathered at a time: sorted values looking for ties, and face pins.
+_CHUNK_CELLS = 2**18
 
 
 def _race_order(weights, uniforms):
@@ -28,12 +28,12 @@ def _race_order(weights, uniforms):
 
     Independent Exponential(w_i) clocks ring in the order of sequential
     weighted draws without replacement, so each row is a draw order.  ``U = 0``
-    gives an infinite clock; ties go to the smaller index.
+    and overflow give infinite clocks; ties go to the smaller index.
 
     ``_stable_argsort`` sorts the clocks: the default argsort, with only the
     rows that hold a tie sorted again stably.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         clocks = -np.log(uniforms) / weights
     return _stable_argsort(clocks)
 
@@ -45,14 +45,14 @@ def _stable_argsort(a):
     argsort, about twice as fast.  Only a row whose sorted values hold an
     equal adjacent pair can differ from the stable sort, so those rows alone
     are sorted again with ``kind="stable"``; the result is the stable argsort
-    bit for bit.  The tie check runs ``_TIE_CHUNK_CELLS`` cells at a time, so
+    bit for bit.  The tie check runs ``_CHUNK_CELLS`` cells at a time, so
     beyond ``a`` and the result it holds one chunk.
     """
     rows, n = a.shape
     if n <= _STABLE_SORT_MAX_N:
         return np.argsort(a, axis=1, kind="stable").astype(np.int64, copy=False)
     out = np.argsort(a, axis=1).astype(np.int64, copy=False)
-    step = max(1, _TIE_CHUNK_CELLS // n)
+    step = max(1, _CHUNK_CELLS // n)
     for lo in range(0, rows, step):
         srt = np.take_along_axis(a[lo:lo + step], out[lo:lo + step], axis=1)
         tied = lo + np.flatnonzero(_tied(srt))
@@ -113,7 +113,7 @@ def project_orders(orders, block_ids):
 
 
 # ---------------------------------------------------------------------------
-# face products in draw order: the reverse chain, and the braid product forward
+# face products in draw order, computed forward
 # ---------------------------------------------------------------------------
 
 # Braid keys are re-ranked densely before ``key * b`` would pass this.
@@ -121,37 +121,45 @@ _KEY_HEADROOM = 2**62
 
 
 def apply_boolean_reverse(face_entries, orders):
-    """Apply Boolean face projections in reverse draw order.
+    """Boolean chambers from face draw orders: the product F1 F2 ... Fm per row.
 
-    Parameters
-    ----------
-    face_entries : (m, d) int8 with values in {-1, 0, +1}
-    orders : (n_samples, m) int64, rows are draw orders of the m faces
+    ``face_entries`` is (m, d) int8 over {-1, 0, +1}; ``orders`` is
+    (n_samples, m) int64, each row a draw order of the m faces.  Returns the
+    (n_samples, d) int8 chambers: the all-+1 row projected onto each row's
+    faces in reverse draw order, which gave the function its name; the tracer
+    and callers bind it.
 
-    Returns
-    -------
-    (n_samples, d) int8 array of resulting chambers.  The projections start
-    from the all-+1 row; separating faces overwrite every entry of it.
+    The product is computed forward.  A face cannot change an entry that an
+    earlier drawn face pinned (faces form a left-regular band), so coordinate
+    i takes the sign of the first drawn face nonzero at i, or +1 if none is.
+    Rows go in chunks that gather ``_CHUNK_CELLS`` pin ranks at a time.
     """
     faces = np.asarray(face_entries, dtype=np.int8)
-    return _reverse_chain(project_signs, faces, orders, np.ones(faces.shape[1], dtype=np.int8))
+    orders = np.asarray(orders, dtype=np.int64)
+    out = np.ones((orders.shape[0], faces.shape[1]), dtype=np.int8)
+    coord, pin = np.nonzero(faces.T)  # pins grouped by coordinate
+    if not pin.size:
+        return out
+    cols, starts = np.unique(coord, return_index=True)
+    step = max(1, _CHUNK_CELLS // pin.size)
+    for lo in range(0, orders.shape[0], step):
+        rows = orders[lo:lo + step]
+        rank = np.empty(rows.shape, dtype=np.int32)  # rank[s, f]: when face f is drawn
+        np.put_along_axis(rank, rows, np.arange(rows.shape[1], dtype=np.int32), axis=1)
+        first = np.minimum.reduceat(rank[:, pin], starts, axis=1)  # per coordinate
+        out[lo:lo + step, cols] = faces[np.take_along_axis(rows, first, axis=1), cols]
+    return out
 
 
 def apply_braid_reverse(face_block_ids, orders):
     """Braid chambers from face draw orders: the product F1 F2 ... Fm per row.
 
-    Parameters
-    ----------
-    face_block_ids : (m, n) int64; entry [f, lab] is the 0-based block index
-        containing 0-based label ``lab`` in face f (blocks numbered top down)
-    orders : (n_samples, m) int64 face draw orders
-
-    Returns
-    -------
-    (n_samples, n) int64 array of resulting chamber orders, 0-based labels
-    listed top to bottom.  The result equals projecting the identity order
-    onto each row's faces in reverse draw order (``_reverse_chain``), which
-    gave the function its name; the tracer and callers bind that name.
+    ``face_block_ids`` is (m, n) int64: entry [f, lab] is the 0-based block
+    (numbered top down) holding 0-based label ``lab`` in face f.  ``orders``
+    is (n_samples, m) int64 face draw orders.  Returns the (n_samples, n)
+    int64 chamber orders, 0-based labels listed top to bottom.  They equal
+    projecting the identity order onto each row's faces in reverse draw
+    order, which gave the function its name; the tracer and callers bind it.
 
     The product is computed forward.  Each label carries an integer key,
     ``key * b + block id`` at each face in draw order (b is the largest block
@@ -200,11 +208,3 @@ def _dense_rank(keys):
     np.put_along_axis(keys, srt, ranks, axis=1)
     return keys
 
-
-def _reverse_chain(project, faces, orders, start):
-    """Project the row ``start`` onto each row's faces, last drawn first."""
-    orders = np.asarray(orders, dtype=np.int64)
-    out = np.repeat(start[None, :], orders.shape[0], axis=0)
-    for t in range(orders.shape[1] - 1, -1, -1):
-        out = project(out, faces[orders[:, t]])
-    return out

@@ -74,3 +74,22 @@ def _sequential_urn(weights, size, gen):
 def sequential_urn():
     """The sequential urn sampler, the oracle for every order sampler."""
     return _sequential_urn
+
+
+def _reverse_chain(project, faces, orders, start):
+    """Project the row ``start`` onto each row's faces, last drawn first.
+
+    The face product F1 F2 ... Fm read literally: ``project`` is
+    ``kernels.project_signs`` or ``kernels.project_orders``.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    out = np.repeat(start[None, :], orders.shape[0], axis=0)
+    for t in range(orders.shape[1] - 1, -1, -1):
+        out = project(out, faces[orders[:, t]])
+    return out
+
+
+@pytest.fixture
+def reverse_chain():
+    """The reverse projection chain, the oracle for both face-product kernels."""
+    return _reverse_chain

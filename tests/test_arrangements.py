@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lucewalks import (
     SignVector,
     ToleranceError,
     all_permutations,
+    arrangements,
     brown_diaconis_sample,
     brown_diaconis_sample_many,
     chamber_index,
@@ -364,6 +366,36 @@ class TestIsSeparating:
         )
         assert not is_separating(table)
 
+    def test_braid_matches_pairwise_oracle(self, np_rng):
+        # a pair of labels is split by some face exactly when their columns differ
+        verdicts = set()
+        for _ in range(300):
+            n, m = int(np_rng.integers(1, 9)), int(np_rng.integers(1, 4))
+            faces = []
+            for _ in range(m):
+                ids = np_rng.integers(0, int(np_rng.integers(1, n + 1)), size=n)
+                faces.append(BlockOrderedSetPartition(
+                    [np.flatnonzero(ids == b) + 1 for b in np.unique(ids)]))
+            faces = list(dict.fromkeys(faces))
+            table = FaceWeightTable("braid", n, [(f, 1 / len(faces)) for f in faces])
+            ent = table.entries_matrix()
+            split = np.any(ent[:, :, None] != ent[:, None, :], axis=0) | np.eye(n, dtype=bool)
+            verdicts.add(bool(split.all()))
+            assert is_separating(table) == bool(split.all())
+        assert verdicts == {True, False}
+
+    def test_braid_memory_is_linear_in_the_table(self):
+        # the pairwise test held an (m, n, n) tensor: 64 MB here
+        table = tsetlin_face_weights(np.full(400, 1 / 400))
+        ent = table.entries_matrix()
+        tracemalloc.start()
+        try:
+            assert is_separating(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ent.nbytes + 2**17
+
 
 class TheoremUniqueStationary:
     """Separating weights give a one-dimensional eigenvalue-1 eigenspace."""
@@ -518,8 +550,9 @@ class TestRiffleEhrenfest:
 
 
 class TheoremUrnSampler:
-    """Drawing all faces without replacement and projecting in reverse
-    order produces an exact stationary sample."""
+    """Drawing all faces without replacement and multiplying them in urn
+    order, F1 F2 ... Fm, produces an exact stationary sample; projecting any
+    start chamber onto the faces in reverse order gives the same product."""
 
 
 class TestUrnSamplerTheorem:
@@ -556,7 +589,7 @@ class TestUrnSamplerTheorem:
         lambda: ehrenfest_face_weights(6),
         lambda: graph_coloring_face_weights(CYCLE7),
     ], ids=["riffle4", "riffle8", "tsetlin5", "tsetlin30", "ehrenfest6", "cycle7"])
-    def test_product_ignores_start_row(self, np_rng, make):
+    def test_product_ignores_start_row(self, np_rng, reverse_chain, make):
         # separating faces multiply to a chamber, so the row they act on is overwritten
         table = make()
         want = brown_diaconis_sample_many(table, 2000, RngStream(53))
@@ -565,12 +598,12 @@ class TestUrnSamplerTheorem:
         for _ in range(3):
             if table.kind == "boolean":
                 start = np_rng.choice(np.array([-1, 1], dtype=np.int8), size=table.dim)
-                got = kernels._reverse_chain(kernels.project_signs, table.entries_matrix(),
-                                             orders, start)
+                got = reverse_chain(kernels.project_signs, table.entries_matrix(), orders,
+                                    start)
             else:
                 start = np_rng.permutation(table.dim)
-                got = kernels._reverse_chain(kernels.project_orders, table.entries_matrix(),
-                                             orders, start) + 1
+                got = reverse_chain(kernels.project_orders, table.entries_matrix(), orders,
+                                    start) + 1
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [3, 8, 30, 200])
@@ -687,6 +720,23 @@ class TestEnumerationIndex:
     def test_too_large(self):
         with pytest.raises(PreconditionError):
             enumerate_chambers("braid", 9)
+
+
+class TestTableCap:
+    """Listed tables refuse more than ``TABLE_ENTRIES_MAX`` faces x dim entries."""
+
+    @pytest.mark.parametrize("make,entries", [
+        (lambda: tsetlin_face_weights(normalize(np.ones(4))), 4 * 4),
+        (lambda: ehrenfest_face_weights(3), 2 * 3 * 3),
+        (lambda: graph_coloring_face_weights(PATH4), 2 * 3 * 4),
+    ], ids=["tsetlin", "ehrenfest", "coloring"])
+    def test_cap_is_inclusive(self, monkeypatch, make, entries):
+        monkeypatch.setattr(arrangements, "TABLE_ENTRIES_MAX", entries)
+        table = make()
+        assert table.m * table.dim == entries
+        monkeypatch.setattr(arrangements, "TABLE_ENTRIES_MAX", entries - 1)
+        with pytest.raises(PreconditionError, match=f"over the cap of {entries - 1}"):
+            make()
 
 
 def _tsetlin4_kernel():

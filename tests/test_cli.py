@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lucewalks.arrangements
 import lucewalks.cli
+from lucewalks import RngStream
 from lucewalks.cli import (build_parser, main, read_csv_text, read_json_text,
                            read_jsonl_text)
 
@@ -549,10 +551,61 @@ class TestWorkCaps:
         assert code == 0 and len(read_csv_text(out)) == 2
         assert run("bottom-table", "--family", "linear", "--max-label", "3")[0] == 3
 
+    @pytest.mark.parametrize("model", [
+        ("--model", "tsetlin", "--weights", "uniform", "--n", "1449", "--normalize"),
+        ("--model", "ehrenfest", "--dim", "1025"),
+        ("--model", "coloring", "--graph", "cycle1025.txt"),
+    ], ids=["tsetlin_n_1449", "ehrenfest_d_1025", "coloring_cycle_1025"])
+    def test_face_table_over_cap_exit_3(self, run, tmp_path, monkeypatch, model):
+        # one past the cap: n * n, 2d * d and 2|E| * n each just over 2**21
+        (tmp_path / "cycle1025.txt").write_text(
+            "".join(f"{i} {i % 1025 + 1}\n" for i in range(1, 1026)))
+
+        def refuse(*a, **k):
+            raise AssertionError("faces listed before the cap was checked")
+
+        monkeypatch.setattr(lucewalks.arrangements, "FaceWeightTable", refuse)
+        code, out, err = run("arrangement", "sample-bd", *model, "--samples", "1",
+                             "--seed", "1")
+        assert code == 3 and out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("precondition error: ") and last.endswith("the cap of 2097152")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
+
     def test_readme_states_caps(self):
         text = README.read_text()
         assert f"{lucewalks.cli._FAMILY_N_MAX:,}" in text
         assert f"between 1 and {lucewalks.cli._MAX_LABEL_MAX}" in text
+        assert f"at most {lucewalks.arrangements.TABLE_ENTRIES_MAX:,}" in text
+
+
+class TestOverflowWarnings:
+    """Overflow to inf is part of the arithmetic on these paths, not a fault to report."""
+
+    def test_tiny_weight_sample_exit_0(self, run, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("sample", "--weights", "[1e-320,1]", "--n-samples", "40",
+                                 "--seed", "7")
+        assert code == 0 and "Warning" not in err
+        weights = np.array([1e-320, 1.0])
+        with np.errstate(divide="ignore", over="ignore"):
+            clocks = -np.log(RngStream(7).random((40, 2))) / weights  # the first is +inf
+        want = np.argsort(clocks, axis=1, kind="stable") + 1
+        assert read_json_text(out)["samples"] == want.tolist()
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["exit_code"] == 0
+
+    def test_zipf_power_overflow_exit_3(self, run, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("pmf", "--weights", '{"family":"zipf","n":10,"s":1e308}',
+                                 "--sigma", "1", "--seed", "7")
+        assert code == 3 and out == "" and "Warning" not in err
+        assert err.splitlines()[-1] == ("precondition error: weight spec: "
+                                        "weights must be strictly positive")
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
 
 
 class TestPublicPaths:

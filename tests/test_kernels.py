@@ -1,4 +1,4 @@
-"""Array kernels: the exponential-race order sampler and reverse face projection."""
+"""Array kernels: the exponential-race order sampler and the forward face products."""
 
 import itertools
 import math
@@ -12,6 +12,8 @@ from lucewalks.arrangements import (
     BlockOrderedSetPartition,
     SignVector,
     brown_diaconis_sample_many,
+    ehrenfest_face_weights,
+    graph_coloring_face_weights,
     project_boolean,
     project_braid,
     riffle_face_weights,
@@ -139,8 +141,10 @@ class TestApplyReverseOracle:
             np.testing.assert_array_equal(got, braid_oracle(ids, orders))
 
 
-def reverse_chain_from_identity(ids, orders):
-    return kernels._reverse_chain(kernels.project_orders, ids, orders, np.arange(ids.shape[1]))
+@pytest.fixture
+def reverse_chain_from_identity(reverse_chain):
+    return lambda ids, orders: reverse_chain(kernels.project_orders, ids, orders,
+                                             np.arange(ids.shape[1]))
 
 
 def tied_braid_case(gen, m, n, size):
@@ -153,14 +157,14 @@ class TestForwardBraidProduct:
     """``apply_braid_reverse`` computes F1 F2 ... Fm forward and must equal the reverse chain."""
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 4), (6, 5), (9, 7)])
-    def test_equals_oracles(self, np_rng, m, n):
+    def test_equals_oracles(self, np_rng, reverse_chain_from_identity, m, n):
         for case in (random_braid_case, tied_braid_case) if n > 1 else (random_braid_case,):
             ids, orders = case(np_rng, m, n, 60)
             got = apply_braid_reverse(ids, orders)
             np.testing.assert_array_equal(got, braid_oracle(ids, orders))
             np.testing.assert_array_equal(got, reverse_chain_from_identity(ids, orders))
 
-    def test_many_random_tables(self, np_rng):
+    def test_many_random_tables(self, np_rng, reverse_chain_from_identity):
         # separating or not, with block counts from 1 to n
         for _ in range(200):
             m, n = (int(v) for v in np_rng.integers(1, 9, size=2))
@@ -169,7 +173,8 @@ class TestForwardBraidProduct:
                                           reverse_chain_from_identity(ids, orders))
 
     @pytest.mark.parametrize("headroom", [0, 1, 50])
-    def test_rerank_keeps_output(self, np_rng, monkeypatch, headroom):
+    def test_rerank_keeps_output(self, np_rng, monkeypatch, reverse_chain_from_identity,
+                                 headroom):
         calls = []
         dense_rank = kernels._dense_rank
 
@@ -196,12 +201,92 @@ class TestForwardBraidProduct:
         (lambda: riffle_face_weights(12), 20),
         (lambda: tsetlin_face_weights(normalize(np.arange(1.0, 31.0))), 20000),
     ], ids=["riffle8", "riffle12", "tsetlin30"])
-    def test_brown_diaconis_equals_reverse_chain(self, make, size):
+    def test_brown_diaconis_equals_reverse_chain(self, reverse_chain_from_identity, make, size):
         table = make()
         got = brown_diaconis_sample_many(table, size, RngStream(2101))
         orders = weighted_order_many(table.weights, RngStream(2101).random((size, table.m)))
         np.testing.assert_array_equal(got - 1,
                                       reverse_chain_from_identity(table.entries_matrix(), orders))
+
+
+@pytest.fixture
+def boolean_chain(reverse_chain):
+    return lambda entries, orders: reverse_chain(kernels.project_signs, entries, orders,
+                                                 np.ones(entries.shape[1], dtype=np.int8))
+
+
+def unpinned_boolean_case(gen, m, d, size):
+    # random dense faces with the last coordinate left unpinned
+    entries, orders = random_boolean_case(gen, m, d, size)
+    entries[:, -1] = 0
+    return entries, orders
+
+
+def zero_boolean_case(gen, m, d, size):
+    entries, orders = random_boolean_case(gen, m, d, size)
+    return np.zeros_like(entries), orders
+
+
+class TestFirstPinBooleanProduct:
+    """``apply_boolean_reverse`` takes each coordinate from its first drawn pin
+    and must equal the reverse chain from the all-+1 row."""
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (1, 5), (4, 1), (2, 3), (6, 5), (9, 7)])
+    @pytest.mark.parametrize("size", [1, 60])
+    @pytest.mark.parametrize("case", [random_boolean_case, unpinned_boolean_case,
+                                      zero_boolean_case], ids=["dense", "unpinned", "zero"])
+    def test_equals_oracles(self, np_rng, boolean_chain, m, d, size, case):
+        entries, orders = case(np_rng, m, d, size)
+        got = apply_boolean_reverse(entries, orders)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, boolean_oracle(entries, orders))
+        np.testing.assert_array_equal(got, boolean_chain(entries, orders))
+
+    def test_many_random_tables(self, np_rng, boolean_chain):
+        for i in range(300):
+            m, d = (int(v) for v in np_rng.integers(1, 12, size=2))
+            case = zero_boolean_case if i % 5 == 0 else random_boolean_case
+            entries, orders = case(np_rng, m, d, int(np_rng.integers(1, 40)))
+            np.testing.assert_array_equal(apply_boolean_reverse(entries, orders),
+                                          boolean_chain(entries, orders))
+
+    @pytest.mark.parametrize("cells", [1, 20, 3 * 20 - 1, 5 * 20 + 1])
+    def test_chunk_edges(self, np_rng, monkeypatch, boolean_chain, cells):
+        # 20 pins, so chunks of 1, 1, 2 and 5 rows; 23 rows leave a short last chunk
+        entries = np.zeros((8, 6), dtype=np.int8)
+        pins = np_rng.permutation(entries.size)[:20]
+        entries.flat[pins] = np_rng.choice(np.array([-1, 1], dtype=np.int8), size=20)
+        _, orders = random_boolean_case(np_rng, 8, 6, 23)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+        np.testing.assert_array_equal(apply_boolean_reverse(entries, orders),
+                                      boolean_chain(entries, orders))
+
+    @pytest.mark.parametrize("make,size", [
+        (lambda: ehrenfest_face_weights(64), 5000),
+        (lambda: graph_coloring_face_weights([(i, i % 200 + 1) for i in range(1, 201)]), 2000),
+    ], ids=["ehrenfest64", "cycle200"])
+    def test_brown_diaconis_equals_reverse_chain(self, boolean_chain, make, size):
+        table = make()
+        got = brown_diaconis_sample_many(table, size, RngStream(2201))
+        orders = weighted_order_many(table.weights, RngStream(2201).random((size, table.m)))
+        np.testing.assert_array_equal(got, boolean_chain(table.entries_matrix(), orders))
+
+    def test_peak_memory_is_one_chunk(self, np_rng, monkeypatch, boolean_chain):
+        chunk = 2**15
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", chunk)
+        m, d, rows = 120, 60, 1500  # about 4800 pins: unchunked, 27 MiB of ranks
+        entries, _ = random_boolean_case(np_rng, m, d, 1)
+        orders = np.argsort(np_rng.random((rows, m)), axis=1)
+        tracemalloc.start()
+        try:
+            got = apply_boolean_reverse(entries, orders)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, boolean_chain(entries, orders))
+        # orders, the result, every row's face ranks, and one chunk of int32
+        # pin ranks; the slack holds the pin lists and a chunk's small arrays
+        assert peak <= orders.nbytes + got.nbytes + rows * m * 4 + chunk * 4 + 2**17
 
 
 def stable_clock_order(weights, u):
@@ -216,7 +301,7 @@ class TestRaceSortRepair:
                                    kernels._STABLE_SORT_MAX_N + 1, 40])
     @pytest.mark.parametrize("tie", ["infinite", "finite"])
     def test_ties_at_chunk_edges(self, np_rng, monkeypatch, n, tie):
-        monkeypatch.setattr(kernels, "_TIE_CHUNK_CELLS", 16 * n)  # 16 rows per chunk
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 16 * n)  # 16 rows per chunk
         rows = 16 * 5 + 3  # a short last chunk
         weights = np_rng.uniform(0.1, 5.0, size=n)
         weights[-1] = weights[0]
@@ -232,9 +317,9 @@ class TestRaceSortRepair:
         np.testing.assert_array_equal(kernels._race_order(weights, u), expected)
 
     def test_peak_memory_is_one_chunk(self, np_rng, monkeypatch):
-        assert 2**17 <= kernels._TIE_CHUNK_CELLS <= 2**20
+        assert 2**17 <= kernels._CHUNK_CELLS <= 2**20
         chunk = 2**15
-        monkeypatch.setattr(kernels, "_TIE_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", chunk)
         rows, n = 400, 2000
         weights = np_rng.uniform(0.5, 2.0, size=n)
         u = np_rng.random((rows, n))
