@@ -56,7 +56,7 @@ WEIGHT_SUM_TOL = 1e-12
 BOOLEAN_ENUM_MAX = 15   # 2^15 chambers
 BRAID_ENUM_MAX = 8      # 8! chambers
 KERNEL_NNZ_MAX = 1 << 26  # stored entries of a sparse kernel (768 MiB of CSR)
-TABLE_ENTRIES_MAX = 1 << 21  # faces x dim of a listed Tsetlin, Ehrenfest or coloring table
+TABLE_ENTRIES_MAX = 1 << 21  # faces x dim of a Tsetlin, Ehrenfest or coloring table
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _CHAR_SIGNS = {v: k for k, v in _SIGN_CHARS.items()}
@@ -181,7 +181,7 @@ def project_boolean(c, f):
         raise PreconditionError(f"dimension mismatch: {c.d} vs {f.d}")
     if not c.is_chamber:
         raise PreconditionError("c must be a chamber (no zero entries)")
-    return SignVector(fv if fv != 0 else cv for fv, cv in zip(f.entries, c.entries))
+    return _project_row("boolean", c, f.entries)
 
 
 def project_braid(c, f):
@@ -195,9 +195,14 @@ def project_braid(c, f):
         f = BlockOrderedSetPartition(f)
     if c.n != f.n:
         raise PreconditionError(f"size mismatch: {c.n} vs {f.n}")
-    ids = f.block_ids()
-    order = sorted(c.mapping, key=lambda lab: ids[lab - 1])
-    return Permutation(order)
+    return _project_row("braid", c, f.block_ids().tolist())
+
+
+def _project_row(kind, chamber, row):
+    """Project a checked chamber onto a face given as a list of signs or block ids."""
+    if kind == "boolean":
+        return SignVector(fv if fv != 0 else cv for fv, cv in zip(row, chamber.entries))
+    return Permutation(sorted(chamber.mapping, key=lambda lab: row[lab - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +215,16 @@ class FaceWeightTable:
     ``pairs`` may be a dict or an iterable of (face, weight); duplicate
     faces merge by summing their weights (map semantics).  Zero-weight
     faces are dropped: they are never drawn by the walk and the urn
-    sampler's without-replacement rule is undefined for them.  Faces are
-    stored in a canonical order so identically-specified tables behave
-    identically regardless of construction order.
+    sampler's without-replacement rule is undefined for them.
+
+    The table stores one row per face, ``entries_matrix()``: int8 signs for
+    the boolean kind, int64 top-down block ids for the braid kind.  Rows are
+    kept in lexicographic order, so identically-specified tables behave
+    identically regardless of construction order.  ``faces`` builds the
+    face objects from the rows on each call.
     """
 
-    __slots__ = ("kind", "dim", "faces", "weights", "_matrix")
+    __slots__ = ("kind", "dim", "weights", "_entries")
 
     def __init__(self, kind, dim, pairs):
         if kind not in ("boolean", "braid"):
@@ -224,59 +233,68 @@ class FaceWeightTable:
         if dim < 1:
             raise PreconditionError("dimension must be at least 1")
         face_cls = SignVector if kind == "boolean" else BlockOrderedSetPartition
-        merged = {}
-        items = pairs.items() if isinstance(pairs, dict) else pairs
-        total = 0.0
-        for face, weight in items:
+        rows, weights = [], []
+        for face, weight in pairs.items() if isinstance(pairs, dict) else pairs:
             if not isinstance(face, face_cls):
                 if isinstance(face, (SignVector, BlockOrderedSetPartition)):
-                    raise PreconditionError(
-                        f"{kind} table cannot hold {type(face).__name__} faces"
-                    )
+                    raise PreconditionError(f"{kind} table cannot hold {type(face).__name__} faces")
                 face = face_cls(face)
-            fdim = face.d if kind == "boolean" else face.n
-            if fdim != dim:
+            if (face.d if kind == "boolean" else face.n) != dim:
                 raise PreconditionError(f"face {face!r} has wrong dimension")
             weight = float(weight)
             if weight < 0.0 or not math.isfinite(weight):
                 raise PreconditionError("face weights must be finite and nonnegative")
-            merged[face] = merged.get(face, 0.0) + weight
-            total += weight
+            rows.append(face.entries if kind == "boolean" else face.block_ids())
+            weights.append(weight)
+        rows = np.array(rows, dtype=np.int8 if kind == "boolean" else np.int64)
+        self._set_rows(kind, dim, rows.reshape(-1, dim), np.array(weights, dtype=np.float64))
+
+    @classmethod
+    def _from_rows(cls, kind, dim, rows, weights):
+        """A table from checked (m, dim) rows and their weights, listed in any order."""
+        return cls.__new__(cls)._set_rows(kind, dim, rows, weights)
+
+    def _set_rows(self, kind, dim, rows, weights):
+        """Sort the rows, merge equal ones, drop zero weights; return ``self``."""
+        # summed in input order from 0.0, as the weights come
+        total = float(np.concatenate(([0.0], weights)).cumsum()[-1])
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise PreconditionError(f"face weights sum to {total!r}, not 1")
-        kept = [(f, w) for f, w in merged.items() if w > 0.0]
-        if not kept:
+        order = np.lexsort(rows.T[::-1])  # stable, first column primary
+        rows, weights = rows[order], weights[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        merged = np.zeros(np.count_nonzero(first))
+        np.add.at(merged, np.cumsum(first) - 1, weights)  # in input order within a row
+        kept = merged > 0.0
+        if not kept.any():
             raise PreconditionError("need at least one positive-weight face")
-        if kind == "boolean":
-            kept.sort(key=lambda fw: fw[0].entries)
-        else:
-            kept.sort(key=lambda fw: tuple(fw[0].block_ids()))
-        self.kind = kind
-        self.dim = dim
-        self.faces = tuple(f for f, _ in kept)
-        self.weights = np.array([w for _, w in kept], dtype=np.float64)
+        self.kind, self.dim = kind, dim
+        self._entries = rows[first][kept]
+        self._entries.flags.writeable = False
+        self.weights = merged[kept]
         self.weights.flags.writeable = False
-        self._matrix = None
+        return self
 
     @property
     def m(self):
-        return len(self.faces)
+        return len(self.weights)
+
+    @property
+    def faces(self):
+        """The faces of the rows, in row order, built on each call."""
+        rows = self._entries.tolist()
+        if self.kind == "boolean":
+            return tuple(SignVector(row) for row in rows)
+        return tuple(BlockOrderedSetPartition([[lab for lab, b in enumerate(row, 1) if b == k]
+                                               for k in range(max(row) + 1)]) for row in rows)
 
     def weight_of(self, face):
-        for f, w in zip(self.faces, self.weights):
-            if f == face:
-                return float(w)
-        return 0.0
+        return next((float(w) for f, w in zip(self.faces, self.weights) if f == face), 0.0)
 
     def entries_matrix(self):
         """(m, dim) int8 sign entries, or (m, n) int64 dense block ids."""
-        if self._matrix is None:
-            if self.kind == "boolean":
-                self._matrix = np.stack([f.to_array() for f in self.faces])
-            else:
-                self._matrix = np.stack([f.block_ids() for f in self.faces])
-            self._matrix.flags.writeable = False
-        return self._matrix
+        return self._entries
 
     def __repr__(self):
         return f"FaceWeightTable({self.kind}, dim={self.dim}, m={self.m})"
@@ -313,11 +331,9 @@ def _draw_face_index(table, rng):
 
 def walk_step(chain, rng):
     """Draw a face with probability w_F, project, advance, and return."""
-    face = chain.face_table.faces[_draw_face_index(chain.face_table, rng)]
-    if chain.face_table.kind == "boolean":
-        chain.current = project_boolean(chain.current, face)
-    else:
-        chain.current = project_braid(chain.current, face)
+    table = chain.face_table
+    row = table.entries_matrix()[_draw_face_index(table, rng)].tolist()
+    chain.current = _project_row(table.kind, chain.current, row)
     return chain.current
 
 
@@ -528,12 +544,9 @@ def tsetlin_face_weights(w):
     w = as_weight_vector(w)
     n = w.n
     _check_table_size(n, n)
-    pairs = []
-    for i in range(1, n + 1):
-        rest = [j for j in range(1, n + 1) if j != i]
-        blocks = [[i], rest] if rest else [[i]]
-        pairs.append((BlockOrderedSetPartition(blocks), w.weights[i - 1]))
-    return FaceWeightTable("braid", n, pairs)
+    rows = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(rows, 0)  # row i - 1: label i in block 0, the rest in block 1
+    return FaceWeightTable._from_rows("braid", n, rows, w.weights)
 
 
 def riffle_face_weights(n):
@@ -547,15 +560,10 @@ def riffle_face_weights(n):
         raise PreconditionError("n must be at least 1")
     if n > BOOLEAN_ENUM_MAX:
         raise PreconditionError(f"riffle table capped at n={BOOLEAN_ENUM_MAX}")
-    labels = range(1, n + 1)
-    w = 0.5 ** n
-    pairs = []
-    for r in range(n + 1):
-        for s in itertools.combinations(labels, r):
-            comp = [j for j in labels if j not in s]
-            blocks = [b for b in (list(s), comp) if b]
-            pairs.append((BlockOrderedSetPartition(blocks), w))
-    return FaceWeightTable("braid", n, pairs)
+    # subset S as a bit mask: labels in S in block 0, the rest in block 1
+    rows = 1 - ((np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
+    rows[0] = 0  # empty S: the complement is the one block
+    return FaceWeightTable._from_rows("braid", n, rows, np.full(1 << n, 0.5 ** n))
 
 
 def ehrenfest_face_weights(d):
@@ -567,13 +575,9 @@ def ehrenfest_face_weights(d):
     if d < 1:
         raise PreconditionError("d must be at least 1")
     _check_table_size(2 * d, d)
-    pairs = []
-    for i in range(d):
-        for s in (-1, 1):
-            entries = [0] * d
-            entries[i] = s
-            pairs.append((SignVector(entries), 1.0 / (2 * d)))
-    return FaceWeightTable("boolean", d, pairs)
+    rows = np.zeros((2 * d, d), dtype=np.int8)
+    rows[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([-1, 1], d)
+    return FaceWeightTable._from_rows("boolean", d, rows, np.full(2 * d, 1.0 / (2 * d)))
 
 
 def _check_graph(edges):
@@ -593,6 +597,7 @@ def _check_graph(edges):
     if not cleaned:
         raise PreconditionError("edge list must be nonempty")
     n = max(max(e) for e in cleaned)
+    _check_table_size(2 * len(cleaned), n)  # before any work of size n
     # connectivity via union-find
     parent = list(range(n + 1))
 
@@ -619,13 +624,8 @@ def graph_coloring_face_weights(edges):
     2|E| faces of length n must not pass ``TABLE_ENTRIES_MAX`` entries.
     """
     cleaned, n = _check_graph(edges)
-    _check_table_size(2 * len(cleaned), n)
-    pairs = []
-    for u, v in cleaned:
-        for s in (-1, 1):
-            entries = [0] * n
-            entries[u - 1] = s
-            entries[v - 1] = s
-            pairs.append((SignVector(entries), 1.0 / (2 * len(cleaned))))
-    return FaceWeightTable("boolean", n, pairs)
-
+    m = 2 * len(cleaned)
+    rows = np.zeros((m, n), dtype=np.int8)
+    ends = np.repeat(np.array(cleaned) - 1, 2, axis=0)  # each edge painted -1, then +1
+    rows[np.arange(m)[:, None], ends] = np.tile([-1, 1], len(cleaned))[:, None]
+    return FaceWeightTable._from_rows("boolean", n, rows, np.full(m, 1.0 / m))

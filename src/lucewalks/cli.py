@@ -557,11 +557,10 @@ def main(argv=None):
         return code
     seed = _resolve_seed(args)
     print(f"seed: {seed}", file=sys.stderr)
-    rng = RngStream(seed)
     tolerances = {}
     error = trace = None
-    try:
-        tolerances = args.func(args, rng) or {}
+    try:  # RngStream refuses a seed outside [0, 2**64)
+        tolerances = args.func(args, RngStream(seed)) or {}
         code = 0
     except Exception as e:  # MemoryError included; KeyboardInterrupt is not an Exception
         error = type(e).__name__

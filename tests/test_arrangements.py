@@ -738,6 +738,164 @@ class TestTableCap:
         with pytest.raises(PreconditionError, match=f"over the cap of {entries - 1}"):
             make()
 
+    def test_coloring_cap_precedes_graph_work(self):
+        # a 10**9-vertex edge would need a 10**9-entry union-find before the
+        # connectivity check; the cap refuses it as soon as n is known
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="over the cap"):
+                graph_coloring_face_weights([(1, 10**9)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+# The per-face listings of the named tables, built through the public pairs
+# constructor: the oracles of the array-built tables.
+
+def listed_tsetlin(w):
+    w = normalize(w)
+    n = w.n
+    pairs = []
+    for i in range(1, n + 1):
+        rest = [j for j in range(1, n + 1) if j != i]
+        blocks = [[i], rest] if rest else [[i]]
+        pairs.append((BlockOrderedSetPartition(blocks), w.weights[i - 1]))
+    return FaceWeightTable("braid", n, pairs)
+
+
+def listed_riffle(n):
+    labels = range(1, n + 1)
+    pairs = []
+    for r in range(n + 1):
+        for s in itertools.combinations(labels, r):
+            comp = [j for j in labels if j not in s]
+            blocks = [b for b in (list(s), comp) if b]
+            pairs.append((BlockOrderedSetPartition(blocks), 0.5 ** n))
+    return FaceWeightTable("braid", n, pairs)
+
+
+def listed_ehrenfest(d):
+    pairs = []
+    for i in range(d):
+        for s in (-1, 1):
+            entries = [0] * d
+            entries[i] = s
+            pairs.append((SignVector(entries), 1.0 / (2 * d)))
+    return FaceWeightTable("boolean", d, pairs)
+
+
+def listed_coloring(edges):
+    keys = [(min(u, v), max(u, v)) for u, v in edges]
+    n = max(max(e) for e in keys)
+    pairs = []
+    for u, v in keys:
+        for s in (-1, 1):
+            entries = [0] * n
+            entries[u - 1] = s
+            entries[v - 1] = s
+            pairs.append((SignVector(entries), 1.0 / (2 * len(keys))))
+    return FaceWeightTable("boolean", n, pairs)
+
+
+GRAPHS = {
+    "edge": [(1, 2)],
+    "path5": PATH5,
+    "path_reversed": [(v, u) for u, v in reversed(PATH5)],
+    "cycle7": CYCLE7,
+    "complete5": list(itertools.combinations(range(1, 6), 2)),
+    "complete6_shuffled": [(6, 1), (2, 5), (3, 4), (1, 2), (4, 6), (5, 3), (2, 3), (1, 4),
+                           (5, 6), (3, 6), (1, 5), (2, 4), (4, 5), (1, 3), (2, 6)],
+}
+
+
+def _tsetlin_weights(n):
+    return np.random.default_rng(n).uniform(0.1, 1.0, n)
+
+
+NAMED_TABLES = (
+    [(f"riffle{n}", lambda n=n: riffle_face_weights(n), lambda n=n: listed_riffle(n))
+     for n in range(1, 11)]
+    + [(f"tsetlin{n}", lambda n=n: tsetlin_face_weights(normalize(_tsetlin_weights(n))),
+        lambda n=n: listed_tsetlin(_tsetlin_weights(n))) for n in (1, 2, 5, 30)]
+    + [(f"ehrenfest{d}", lambda d=d: ehrenfest_face_weights(d),
+        lambda d=d: listed_ehrenfest(d)) for d in (1, 3, 64)]
+    + [(f"coloring_{name}", lambda e=e: graph_coloring_face_weights(e),
+        lambda e=e: listed_coloring(e)) for name, e in GRAPHS.items()]
+)
+
+
+def assert_same_table(got, want):
+    assert (got.kind, got.dim, got.m) == (want.kind, want.dim, want.m)
+    assert got.entries_matrix().dtype == want.entries_matrix().dtype
+    np.testing.assert_array_equal(got.entries_matrix(), want.entries_matrix())
+    assert got.weights.dtype == want.weights.dtype
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+class TestArrayTables:
+    """Named tables are written as rows by numpy; faces are built only on request."""
+
+    @pytest.mark.parametrize("make,listed", [t[1:] for t in NAMED_TABLES],
+                             ids=[t[0] for t in NAMED_TABLES])
+    def test_builder_equals_listing(self, make, listed):
+        assert_same_table(make(), listed())
+
+    @pytest.mark.parametrize("make", [t[1] for t in NAMED_TABLES],
+                             ids=[t[0] for t in NAMED_TABLES])
+    def test_faces_round_trip(self, make):
+        t = make()
+        assert_same_table(FaceWeightTable(t.kind, t.dim, zip(t.faces, t.weights)), t)
+
+    def test_builders_make_no_face_objects(self, monkeypatch):
+        made = []
+        for cls in (SignVector, BlockOrderedSetPartition):
+            init = cls.__init__
+
+            def counting(self, *a, _init=init, **k):
+                made.append(type(self).__name__)
+                _init(self, *a, **k)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        tables = [riffle_face_weights(12), tsetlin_face_weights(normalize(np.ones(1448))),
+                  ehrenfest_face_weights(1024), graph_coloring_face_weights(CYCLE7)]
+        assert made == []
+        for t in tables:
+            t.entries_matrix()
+        assert made == []
+        assert len(tables[3].faces) == tables[3].m and len(made) == tables[3].m
+
+    def test_rows_are_read_only(self):
+        t = riffle_face_weights(3)
+        assert not t.entries_matrix().flags.writeable and not t.weights.flags.writeable
+
+    def test_merge_sums_in_input_order(self):
+        # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+        f, g = SignVector((1, 0)), SignVector((0, 1))
+        w = [0.1, 0.2, 0.3]
+        t = FaceWeightTable("boolean", 2, [(f, w[0]), (g, 0.4), (f, w[1]), (f, w[2])])
+        assert t.weights[1] == (0.0 + w[0] + w[1]) + w[2]
+        assert t.weights[0] == 0.4 and t.faces == (g, f)
+
+    @pytest.mark.parametrize("make", [
+        lambda: riffle_face_weights(6),
+        lambda: tsetlin_face_weights(normalize(_tsetlin_weights(7))),
+        lambda: ehrenfest_face_weights(5),
+        lambda: graph_coloring_face_weights(CYCLE7),
+    ], ids=["riffle", "tsetlin", "ehrenfest", "coloring"])
+    def test_walk_equals_scalar_projections(self, make):
+        table = make()
+        boolean = table.kind == "boolean"
+        start = SignVector([1] * table.dim) if boolean else Permutation.identity(table.dim)
+        faces, cum = table.faces, np.cumsum(table.weights)
+        chain, rng, oracle_rng = ChamberChain(table, start), RngStream(31), RngStream(31)
+        current = start
+        for _ in range(200):
+            idx = min(int(np.searchsorted(cum, oracle_rng.random(), side="right")), table.m - 1)
+            current = (project_boolean if boolean else project_braid)(current, faces[idx])
+            assert walk_step(chain, rng) == current
+
 
 def _tsetlin4_kernel():
     return transition_matrix(tsetlin_face_weights(normalize([1.0, 2.0, 3.0, 4.0])))

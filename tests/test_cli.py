@@ -638,6 +638,14 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_python_quick_start_runs():
+    text = README.read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    assert namespace["pi"].sum() == pytest.approx(1.0)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, run):
         code, _, err = run("frobnicate")
@@ -683,6 +691,21 @@ class TestManifestAndSeed:
         assert doc["exit_code"] == 1
         assert doc["seed"] is None
         assert doc["tolerances"] == {}
+
+    @pytest.mark.parametrize("seed, want", [("-5", 3), (str(2**64), 3), (str(2**64 - 1), 0)],
+                             ids=["negative", "2_64", "2_64_minus_1"])
+    def test_seed_range(self, run, tmp_path, seed, want):
+        code, out, err = run("sample", "--weights", "[1,2]", "--n-samples", "2", "--seed", seed)
+        assert code == want and "Traceback" not in err
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["exit_code"] == want and doc["seed"] == int(seed)
+        if want:
+            assert out == "" and doc["traceback"] is None
+            assert doc["error"] == "PreconditionError"
+            assert err.splitlines()[-1] == ("precondition error: seed must be an integer "
+                                            "in [0, 2**64)")
+        else:
+            assert doc["error"] is None and len(read_json_text(out)["samples"]) == 2
 
     def test_manifest_on_version_exit(self, run, tmp_path):
         assert run("--version")[0] == 0
