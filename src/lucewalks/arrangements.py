@@ -55,7 +55,7 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 BOOLEAN_ENUM_MAX = 15   # 2^15 chambers
 BRAID_ENUM_MAX = 8      # 8! chambers
-KERNEL_NNZ_MAX = 1 << 26  # stored entries of a sparse kernel (768 MiB of CSR)
+KERNEL_NNZ_MAX = 1 << 26  # chambers x faces ranks of a kernel (256 MiB of int32)
 TABLE_ENTRIES_MAX = 1 << 21  # faces x dim of a Tsetlin, Ehrenfest or coloring table
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
@@ -290,7 +290,12 @@ class FaceWeightTable:
                                                for k in range(max(row) + 1)]) for row in rows)
 
     def weight_of(self, face):
-        return next((float(w) for f, w in zip(self.faces, self.weights) if f == face), 0.0)
+        """The weight of ``face``: 0.0 when the table holds no such face."""
+        if not isinstance(face, SignVector if self.kind == "boolean" else BlockOrderedSetPartition):
+            return 0.0
+        row = np.asarray(face.entries if self.kind == "boolean" else face.block_ids())
+        hit = self.weights[(self._entries == row).all(axis=1)] if row.size == self.dim else ()
+        return float(hit[0]) if len(hit) else 0.0
 
     def entries_matrix(self):
         """(m, dim) int8 sign entries, or (m, n) int64 dense block ids."""
@@ -383,16 +388,28 @@ def _chambers_array(kind, dim):
     return np.array(list(itertools.permutations(range(1, dim + 1))), dtype=np.int64)
 
 
+class _FaceKernel:
+    """A walk's kernel K as face ranks: ``ranks[f, c]`` indexes chamber c projected onto face f."""
+
+    __slots__ = ("table", "ranks", "shape", "nbytes")
+    __array_ufunc__ = None  # ndarray @ kernel defers to __rmatmul__
+
+    def __init__(self, table, ranks):
+        self.table, self.ranks, self.shape = table, ranks, (ranks.shape[1],) * 2
+        self.nbytes = ranks.nbytes + table.weights.nbytes
+
+    def __rmatmul__(self, pi):
+        return sum(np.bincount(row, w * pi, self.shape[0])
+                   for w, row in zip(self.table.weights, self.ranks))
+
+
 def transition_matrix(table):
-    """Sparse one-step kernel K[c, c'] over all chambers in canonical order.
+    """The one-step kernel K over all chambers in canonical order, for ``stationary_exact``.
 
-    Returns a ``scipy.sparse.csr_array``.  Row c holds one entry per face F,
-    w_F at the rank of c projected onto F, with coinciding projections
-    summed.  Raises ``PreconditionError`` before allocating when the
-    chambers x faces entries would exceed ``KERNEL_NNZ_MAX``.
+    K holds one int32 row of projected chamber ranks per face and the table's weights, so
+    ``pi @ K`` never builds the N x N matrix; ``K.nbytes`` counts both.  Raises
+    ``PreconditionError`` before allocating when the ranks would exceed ``KERNEL_NNZ_MAX``.
     """
-    import scipy.sparse as sp
-
     _check_enum_size(table.kind, table.dim)
     n_ch = 1 << table.dim if table.kind == "boolean" else math.factorial(table.dim)
     nnz = n_ch * table.m
@@ -400,7 +417,7 @@ def transition_matrix(table):
         raise PreconditionError(
             f"kernel needs {n_ch} chambers x {table.m} faces = {nnz} entries, "
             f"over the cap of {KERNEL_NNZ_MAX}")
-    cols = np.empty((n_ch, table.m), dtype=np.int32)
+    ranks = np.empty((table.m, n_ch), dtype=np.int32)
     ent = table.entries_matrix()
     chambers = _chambers_array(table.kind, table.dim)
     if table.kind == "boolean":
@@ -410,80 +427,87 @@ def transition_matrix(table):
         chambers = chambers - 1
         project, rank = kernels.project_orders, permutation_rank_many
     for f in range(table.m):
-        cols[:, f] = rank(project(chambers, ent[f]))
-    data = np.tile(table.weights, n_ch)
-    indptr = table.m * np.arange(n_ch + 1, dtype=np.int32)
-    k_mat = sp.csr_array((data, cols.ravel(), indptr), shape=(n_ch, n_ch))
-    k_mat.sum_duplicates()
-    return k_mat
+        ranks[f] = rank(project(chambers, ent[f]))
+    return _FaceKernel(table, ranks)
+
+
+def _uncrossed_hyperplane(table):
+    """What no positive-weight face does to the first hyperplane none crosses, or None."""
+    ent = table.entries_matrix()
+    if table.kind == "boolean":
+        free = np.flatnonzero(np.all(ent == 0, axis=0))
+        return f"pins coordinate {free[0] + 1}" if free.size else None
+    lab = np.lexsort(ent)  # stable: equal columns end up adjacent, in label order
+    srt = ent[:, lab]
+    tied = np.flatnonzero(np.all(srt[:, 1:] == srt[:, :-1], axis=0))
+    return f"splits labels {lab[tied[0]] + 1} and {lab[tied[0] + 1] + 1}" if tied.size else None
 
 
 def is_separating(table):
     """Whether the positive-weight faces leave no hyperplane uncrossed.
 
-    Boolean kind: every coordinate is pinned by some face.  Braid kind:
-    every label pair is split into different blocks by some face, that is,
-    the labels' columns of block ids are all distinct.
+    Some face pins each coordinate (boolean kind) or splits each label pair (braid kind).
     """
-    ent = table.entries_matrix()
-    if table.kind == "boolean":
-        return bool(np.all(np.any(ent != 0, axis=0)))
-    srt = ent[:, np.lexsort(ent)]  # equal columns end up adjacent
-    return bool(np.all(np.any(srt[:, 1:] != srt[:, :-1], axis=0)))
+    return _uncrossed_hyperplane(table) is None
 
 
-def stationary_exact(matrix, tol=1e-10):
-    """The unique stationary distribution of a row-stochastic kernel.
+def _bicgstab(kernel, x, restarts=2):  # three runs in all at most
+    """BiCGSTAB (van der Vorst, 1992) from x for pi (K - I) = 0, its last row sum(pi) = 1.
 
-    Accepts a dense array or any scipy sparse matrix.  Uniqueness is decided
-    exactly from the support graph of K: the law is unique when the graph
-    has exactly one closed strongly connected class, and ``ToleranceError``
-    is raised otherwise (a non-separating face table, for instance).  pi is
-    then the solution of pi (K - I) = 0 with the normalization sum(pi) = 1
-    in place of the last equation, found by BiCGSTAB from the uniform
-    start.  The result must pass max|pi K - pi| <= tol.
+    Stops at |r| < 1e-14 or after 10 N iterations (scipy's default).  A breakdown (a zero or
+    non-finite rho, <r_hat, v> or omega, or a non-finite iterate) starts a new run from the
+    last finite iterate, ``restarts`` times at most; after that the iterate is returned.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import LinearOperator, bicgstab
-
-    _check_tol(tol)
-    shape = np.shape(matrix)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise PreconditionError("matrix must be square and nonempty")
-    k_mat = sp.csr_array(matrix, dtype=np.float64, copy=True)
-    k_mat.sum_duplicates()
-    k_mat.eliminate_zeros()
-    n_ch = shape[0]
-    if not np.all(np.isfinite(k_mat.data)) or np.any(k_mat.data < 0.0):
-        raise PreconditionError("matrix entries must be finite and nonnegative")
-    if np.abs(k_mat.sum(axis=1) - 1.0).max() > 1e-9:
-        raise PreconditionError("matrix rows must sum to 1")
-    n_comp, labels = connected_components(k_mat, directed=True, connection="strong")
-    # a class is closed when no edge leaves it
-    source = np.repeat(labels, np.diff(k_mat.indptr))
-    n_closed = n_comp - np.unique(source[source != labels[k_mat.indices]]).size
-    if n_closed != 1:
-        raise ToleranceError(
-            f"stationary distribution is not unique: {n_closed} closed classes "
-            "(non-separating weights)")
-
-    def bordered(x):
-        y = x @ k_mat - x
-        y[-1] = x.sum()
+    def bordered(z):
+        y = z @ kernel - z
+        y[-1] = z.sum()
         return y
 
-    b = np.zeros(n_ch)
-    b[-1] = 1.0
-    # stop near machine precision whatever tol is: the residual check below is the test
-    pi, _ = bicgstab(LinearOperator((n_ch, n_ch), matvec=bordered, dtype=np.float64),
-                     b, x0=np.full(n_ch, 1.0 / n_ch), rtol=1e-14, atol=0.0)
+    with np.errstate(all="ignore"):
+        r = -bordered(x)
+        r[-1] += 1.0
+        r_hat, p, v, rho_old, alpha, omega = r, 0.0, 0.0, 1.0, 1.0, 1.0
+        for _ in range(10 * x.size):
+            if np.linalg.norm(r) < 1e-14:
+                return x
+            rho = r_hat @ r
+            p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
+            v = bordered(p)
+            alpha = rho / (r_hat @ v)  # a zero <r_hat, v> leaves s, and so x_new, non-finite
+            s = r - alpha * v
+            if np.linalg.norm(s) < 1e-14:  # then rho and alpha are finite and nonzero
+                return x + alpha * p
+            t = bordered(s)
+            omega = (t @ s) / (t @ t)
+            x_new = x + alpha * p + omega * s  # non-finite when rho or omega is
+            if 0.0 in (rho, omega) or not np.all(np.isfinite(x_new)):
+                return _bicgstab(kernel, x, restarts - 1) if restarts else x
+            x, r, rho_old = x_new, s - omega * t, rho
+    return x
+
+
+def stationary_exact(kernel, tol=1e-10):
+    """The unique stationary law of the kernel ``transition_matrix`` returns.
+
+    It is unique exactly when the positive-weight faces are separating (Brown and Diaconis,
+    1998); ``ToleranceError`` names an uncrossed hyperplane otherwise.  pi is found by BiCGSTAB
+    from the uniform start, restarted from its last finite iterate on a breakdown, and must
+    pass max|pi K - pi| <= tol.
+    """
+    _check_tol(tol)
+    if not isinstance(kernel, _FaceKernel):
+        raise PreconditionError(f"need a transition_matrix kernel, not {type(kernel).__name__}")
+    if (gap := _uncrossed_hyperplane(kernel.table)) is not None:
+        raise ToleranceError(f"stationary distribution is not unique: no positive-weight face {gap}")
+    pi = _bicgstab(kernel, np.full(kernel.shape[0], 1.0 / kernel.shape[0]))
     if pi.min() < -1e-12:
         raise ToleranceError(f"stationary solve produced entry {pi.min():g} < -1e-12")
-    pi = np.clip(pi, 0.0, None)
+    reached = np.zeros(kernel.shape[0], dtype=bool)
+    reached[kernel.ranks] = True
+    pi = np.clip(pi, 0.0, None) * reached  # no face leads into an unreached chamber: its law is 0
     pi /= pi.sum()
-    residual = float(np.abs(pi @ k_mat - pi).max())
-    if residual > tol:
+    residual = float(np.abs(pi @ kernel - pi).max())
+    if not residual <= tol:
         raise ToleranceError(f"stationary residual {residual:g} exceeds {tol:g}")
     return pi
 
@@ -506,8 +530,8 @@ def brown_diaconis_sample_many(table, size, rng):
     """
     if size < 1:
         raise PreconditionError("size must be at least 1")
-    if not is_separating(table):
-        raise PreconditionError("face weights are not separating")
+    if (gap := _uncrossed_hyperplane(table)) is not None:
+        raise PreconditionError(f"face weights are not separating: no positive-weight face {gap}")
     orders = kernels.weighted_order_many(table.weights, rng.random((size, table.m)))
     if table.kind == "boolean":
         return kernels.apply_boolean_reverse(table.entries_matrix(), orders)

@@ -93,3 +93,27 @@ def _reverse_chain(project, faces, orders, start):
 def reverse_chain():
     """The reverse projection chain, the oracle for both face-product kernels."""
     return _reverse_chain
+
+
+def _dense_kernel(table):
+    """The N x N one-step kernel of a face table, one scalar projection at a time.
+
+    Entry [c, c'] sums, in face order, the weights of the faces that send
+    chamber c to chamber c', both in ``enumerate_chambers`` order.
+    """
+    from lucewalks import chamber_index, enumerate_chambers, project_boolean, project_braid
+
+    project = project_boolean if table.kind == "boolean" else project_braid
+    chambers = enumerate_chambers(table.kind, table.dim)
+    faces = table.faces
+    k = np.zeros((len(chambers),) * 2)
+    for c in chambers:
+        for face, w in zip(faces, table.weights):
+            k[chamber_index(c), chamber_index(project(c, face))] += w
+    return k
+
+
+@pytest.fixture
+def dense_kernel():
+    """The dense kernel built by scalar projections, the oracle for ``transition_matrix``."""
+    return _dense_kernel

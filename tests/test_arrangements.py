@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,12 +281,12 @@ class TheoremWalkKernel:
 
 
 class TestWalkKernelTheorem:
-    def test_chi_square_one_step(self):
+    def test_chi_square_one_step(self, dense_kernel):
         gen = np.random.default_rng(11)
         w = normalize(gen.uniform(0.3, 1.0, size=4))
         table = tsetlin_face_weights(w)
         start = Permutation((3, 1, 4, 2))
-        row = transition_matrix(table).toarray()[chamber_index(start)]
+        row = dense_kernel(table)[chamber_index(start)]
         rng = RngStream(19)
         counts = np.zeros(row.size)
         trials = 100_000
@@ -298,21 +299,27 @@ class TestWalkKernelTheorem:
         assert stat.pvalue >= 0.001
 
 
-class TestTransitionMatrix:
-    def test_identity_face_only(self):
-        table = FaceWeightTable("boolean", 2, [(SignVector((0, 0)), 1.0)])
-        np.testing.assert_allclose(transition_matrix(table).toarray(), np.eye(4))
+def as_dense(k_mat):
+    """The kernel's N x N matrix, one unit row vector at a time."""
+    return np.array([e @ k_mat for e in np.eye(k_mat.shape[0])])
 
-    def test_braid_two_tsetlin(self):
+
+class TestTransitionMatrix:
+    def test_identity_face_only(self, dense_kernel):
+        table = FaceWeightTable("boolean", 2, [(SignVector((0, 0)), 1.0)])
+        np.testing.assert_allclose(dense_kernel(table), np.eye(4))
+        np.testing.assert_array_equal(as_dense(transition_matrix(table)), np.eye(4))
+
+    def test_braid_two_tsetlin(self, dense_kernel):
         p = 0.7
         table = tsetlin_face_weights([p, 1 - p])
-        k = transition_matrix(table).toarray()
-        np.testing.assert_allclose(k, [[p, 1 - p], [p, 1 - p]], atol=1e-15)
+        for k in (dense_kernel(table), as_dense(transition_matrix(table))):
+            np.testing.assert_allclose(k, [[p, 1 - p], [p, 1 - p]], atol=1e-15)
 
-    def test_rows_stochastic_random_tables(self, np_rng):
+    def test_rows_stochastic_random_tables(self, np_rng, dense_kernel):
         for kind, dim in (("boolean", 4), ("braid", 4)):
             table = random_sparse_table(kind, dim, np_rng)
-            k = transition_matrix(table).toarray()
+            k = dense_kernel(table)
             np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(k >= 0)
 
@@ -330,12 +337,14 @@ class TestTransitionMatrix:
         with pytest.raises(PreconditionError, match="entries"):
             transition_matrix(table)
 
-    def test_returns_csr(self):
-        # 7 riffle faces per row, but many send a chamber to the same place
-        k = transition_matrix(riffle_face_weights(3))
-        assert k.format == "csr" and k.indices.dtype == np.int32
-        assert k.has_canonical_format
-        assert k.nnz == np.count_nonzero(k.toarray()) < 6 * 7
+    def test_returns_face_ranks(self):
+        table = riffle_face_weights(3)
+        k = transition_matrix(table)
+        assert k.ranks.shape == (table.m, 6) and k.ranks.dtype == np.int32
+        assert k.ranks.flags.c_contiguous
+        assert k.nbytes == k.ranks.nbytes + table.weights.nbytes
+        out = np.full(6, 1 / 6) @ k
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (6,)
 
     @pytest.mark.parametrize(
         "table",
@@ -343,13 +352,9 @@ class TestTransitionMatrix:
          ehrenfest_face_weights(3), graph_coloring_face_weights([(1, 2), (2, 3), (3, 4)])],
         ids=["tsetlin4", "riffle4", "ehrenfest3", "coloring-path4"],
     )
-    def test_matches_scalar_projections(self, table):
-        project = project_boolean if table.kind == "boolean" else project_braid
-        want = np.zeros((len(enumerate_chambers(table.kind, table.dim)),) * 2)
-        for c in enumerate_chambers(table.kind, table.dim):
-            for face, w in zip(table.faces, table.weights):
-                want[chamber_index(c), chamber_index(project(c, face))] += w
-        np.testing.assert_array_equal(transition_matrix(table).toarray(), want)
+    def test_matches_scalar_projections(self, table, dense_kernel):
+        # both add the weights in face order, so e_c @ K is the oracle's row c to the bit
+        np.testing.assert_array_equal(as_dense(transition_matrix(table)), dense_kernel(table))
 
 
 class TestIsSeparating:
@@ -384,6 +389,32 @@ class TestIsSeparating:
             assert is_separating(table) == bool(split.all())
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("kind", ["boolean", "braid"])
+    def test_matches_closed_class_oracle(self, np_rng, dense_kernel, kind):
+        # the law is unique exactly when the kernel's graph has one closed class
+        from scipy.sparse.csgraph import connected_components
+
+        verdicts = set()
+        for _ in range(60):
+            dim, m = int(np_rng.integers(1, 5 if kind == "braid" else 6)), int(np_rng.integers(1, 4))
+            faces = []
+            for _ in range(m):
+                if kind == "boolean":
+                    faces.append(SignVector(np_rng.integers(-1, 2, size=dim)))
+                else:
+                    ids = np_rng.integers(0, int(np_rng.integers(1, dim + 1)), size=dim)
+                    faces.append(BlockOrderedSetPartition(
+                        [np.flatnonzero(ids == b) + 1 for b in np.unique(ids)]))
+            faces = list(dict.fromkeys(faces))
+            table = FaceWeightTable(kind, dim, [(f, 1 / len(faces)) for f in faces])
+            edges = dense_kernel(table) > 0
+            n_comp, labels = connected_components(edges, directed=True, connection="strong")
+            src, dst = np.nonzero(edges)
+            n_closed = n_comp - np.unique(labels[src][labels[src] != labels[dst]]).size
+            verdicts.add(n_closed == 1)
+            assert is_separating(table) == (n_closed == 1)
+        assert verdicts == {True, False}
+
     def test_braid_memory_is_linear_in_the_table(self):
         # the pairwise test held an (m, n, n) tensor: 64 MB here
         table = tsetlin_face_weights(np.full(400, 1 / 400))
@@ -402,21 +433,25 @@ class TheoremUniqueStationary:
 
 
 class TestUniqueStationaryTheorem:
-    def test_rank_separating(self, np_rng):
+    def test_rank_separating(self, np_rng, dense_kernel):
         for kind, dim in (("braid", 4), ("boolean", 5), ("braid", 3)):
             table = random_sparse_table(kind, dim, np_rng)
-            k = transition_matrix(table).toarray()
+            k = dense_kernel(table)
             nn = k.shape[0]
             rank = np.linalg.matrix_rank(k.T - np.eye(nn))
             assert rank == nn - 1
 
-    def test_rank_identity_table(self):
+    def test_rank_identity_table(self, dense_kernel):
         table = FaceWeightTable("boolean", 3, [(SignVector((0, 0, 0)), 1.0)])
-        k = transition_matrix(table).toarray()
+        k = dense_kernel(table)
         assert np.linalg.matrix_rank(k.T - np.eye(8)) < 7
+        with pytest.raises(ToleranceError, match="not unique: no positive-weight face pins "
+                                                 "coordinate 1"):
+            stationary_exact(transition_matrix(table))
 
     def test_identity_matrix_rejected(self):
-        with pytest.raises(ToleranceError):
+        # only the kernel of a face table is taken; its uniqueness comes from the table
+        with pytest.raises(PreconditionError, match="transition_matrix kernel"):
             stationary_exact(np.eye(6))
 
     def test_non_stochastic_rejected(self):
@@ -432,43 +467,58 @@ class TestUniqueStationaryTheorem:
                 entries[i] = sign
                 pairs.append((SignVector(entries), 1.0 / 20))
         table = FaceWeightTable("boolean", 11, pairs)
-        with pytest.raises(ToleranceError, match="not unique"):
+        with pytest.raises(ToleranceError, match="not unique: no positive-weight face pins "
+                                                 "coordinate 11"):
             stationary_exact(transition_matrix(table))
 
-    def test_periodic_chain(self):
-        k = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(stationary_exact(k), [0.25, 0.5, 0.25], atol=1e-12)
+    def test_non_separating_braid_names_labels(self):
+        # labels 2 and 4 always share a block
+        table = FaceWeightTable("braid", 4, [(BlockOrderedSetPartition([{1}, {2, 4}, {3}]), 0.5),
+                                             (BlockOrderedSetPartition([{3}, {1, 2, 4}]), 0.5)])
+        with pytest.raises(ToleranceError, match="no positive-weight face splits labels 2 and 4"):
+            stationary_exact(transition_matrix(table))
+        with pytest.raises(PreconditionError, match="splits labels 2 and 4"):
+            brown_diaconis_sample_many(table, 1, RngStream(0))
 
     def test_transient_states_get_zero(self):
-        k = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
-        np.testing.assert_allclose(stationary_exact(k), [0.0, 6 / 13, 7 / 13], atol=1e-12)
+        # no face moves label 4 up, so it sinks to the bottom and stays there
+        w = [0.5, 0.3, 0.2]
+        table = FaceWeightTable("braid", 4, [
+            (BlockOrderedSetPartition([{i}, set(range(1, 5)) - {i}]), w[i - 1])
+            for i in (1, 2, 3)])
+        want = [luce_pmf(w, p.mapping[:3]) if p.mapping[3] == 4 else 0.0
+                for p in enumerate_chambers("braid", 4)]
+        np.testing.assert_allclose(stationary_exact(transition_matrix(table)), want, atol=1e-12)
 
-    def test_dense_and_sparse_agree(self, np_rng):
-        table = random_sparse_table("boolean", 4, np_rng)
-        k = transition_matrix(table)
-        assert isinstance(k.toarray(), np.ndarray)
-        np.testing.assert_allclose(stationary_exact(k.toarray()), stationary_exact(k),
-                                   atol=1e-13)
+    @pytest.mark.parametrize("edges", [PATH5, [(1, 2), (2, 3), (3, 4), (4, 1)]],
+                             ids=["path5", "cycle4"])
+    def test_unreached_chambers_get_exact_zero(self, edges):
+        # every face paints an edge one colour, so no walk step ends on an alternating colouring
+        table = graph_coloring_face_weights(edges)
+        pi = stationary_exact(transition_matrix(table))
+        signs = np.array([c.entries for c in enumerate_chambers("boolean", table.dim)])
+        alternating = np.all(signs[:, 1:] != signs[:, :-1], axis=1)
+        assert alternating.sum() == 2 and np.all(pi[alternating] == 0.0)
+        assert np.all(pi[~alternating] > 0.0)
 
     @pytest.mark.parametrize("bad", [
         np.array([[1.2, -0.2], [0.5, 0.5]]),
         np.array([[np.nan, 1.0], [0.5, 0.5]]),
         np.ones((2, 3)) / 3,
         np.ones((0, 0)),
-    ], ids=["negative", "nan", "non-square", "empty"])
+        scipy.sparse.csr_array(np.full((2, 2), 0.5)),
+        [[0.5, 0.5], [0.5, 0.5]],
+    ], ids=["negative", "nan", "non-square", "empty", "csr", "list"])
     def test_bad_matrix_rejected(self, bad):
         with pytest.raises(PreconditionError):
             stationary_exact(bad)
 
     def test_input_left_unchanged(self):
-        import scipy.sparse as sp
-
-        # duplicate entries and an explicit zero: not canonical CSR
-        k = sp.csr_array((np.array([0.25, 0.25, 0.0, 0.5, 1.0]), np.array([1, 1, 0, 0, 0]),
-                          np.array([0, 4, 5])), shape=(2, 2))
-        before = [a.copy() for a in (k.data, k.indices, k.indptr)]
-        np.testing.assert_allclose(stationary_exact(k), [2 / 3, 1 / 3], atol=1e-12)
-        for a, b in zip((k.data, k.indices, k.indptr), before):
+        table = tsetlin_face_weights(normalize([1.0, 2.0, 3.0, 4.0]))
+        k = transition_matrix(table)
+        before = [a.copy() for a in (k.ranks, table.entries_matrix(), table.weights)]
+        stationary_exact(k)
+        for a, b in zip((k.ranks, table.entries_matrix(), table.weights), before):
             np.testing.assert_array_equal(a, b)
 
     def test_stationary_fixed_point(self, np_rng):
@@ -511,9 +561,34 @@ class TestMoveToFrontStationaryTheorem:
         expected = np.array([luce_pmf(w, p) for p in all_permutations(6)])
         np.testing.assert_allclose(pi, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("weights, min_runs", [
+        (lambda: chambers_workload_weights(5101, 7), 1),
+        (lambda: chambers_workload_weights(260, 6), 1),
+        (lambda: chambers_workload_weights(82, 7), 1),
+        (lambda: normalize([1, 1e-4, 3e-4, 1, 1, 1]), 2),
+    ], ids=["seed5101_n7", "seed260_n6", "seed82_n7", "slow_mixing"])
+    def test_solves_past_breakdown(self, monkeypatch, weights, min_runs):
+        # BiCGSTAB without restarts stops at residuals 9.9e-9, 1.3e-7 and 1.4e-8 on the
+        # first three and leaves an entry of -2.4e-9 on the last, which restarts here
+        runs = []
+        solve = arrangements._bicgstab
+        monkeypatch.setattr(arrangements, "_bicgstab", lambda *a: runs.append(1) or solve(*a))
+        w = weights()
+        pi = stationary_exact(transition_matrix(tsetlin_face_weights(w)))
+        expected = np.array([luce_pmf(w, p) for p in all_permutations(w.n)])
+        assert np.abs(pi - expected).max() <= 1e-12
+        assert min_runs <= len(runs) <= 3
+
     def test_requires_normalized(self):
         with pytest.raises(PreconditionError):
             tsetlin_face_weights([1.0, 2.0])
+
+
+def chambers_workload_weights(seed, n):
+    """The Tsetlin weights of size n (6 or 7) that the ``chambers`` workload draws at ``seed``."""
+    g = np.random.default_rng([seed, 3])
+    w6, w7 = g.uniform(0.5, 2.0, 6), g.uniform(0.5, 2.0, 7)
+    return normalize(w6 if n == 6 else w7)
 
 
 class TestRiffleEhrenfest:
@@ -540,9 +615,10 @@ class TestRiffleEhrenfest:
         pi = stationary_exact(transition_matrix(ehrenfest_face_weights(3)))
         np.testing.assert_allclose(pi, np.full(8, 1 / 8), atol=1e-10)
 
-    def test_ehrenfest_one_coordinate_mixes_in_one_step(self):
-        k = transition_matrix(ehrenfest_face_weights(1)).toarray()
-        np.testing.assert_allclose(k, [[0.5, 0.5], [0.5, 0.5]])
+    def test_ehrenfest_one_coordinate_mixes_in_one_step(self, dense_kernel):
+        table = ehrenfest_face_weights(1)
+        for k in (dense_kernel(table), as_dense(transition_matrix(table))):
+            np.testing.assert_allclose(k, [[0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_ehrenfest_separating(self, d):
@@ -834,6 +910,21 @@ def assert_same_table(got, want):
     assert got.weights.tobytes() == want.weights.tobytes()
 
 
+@pytest.fixture
+def face_constructions(monkeypatch):
+    """The class names of the face objects constructed while the test runs, in order."""
+    made = []
+    for cls in (SignVector, BlockOrderedSetPartition):
+        init = cls.__init__
+
+        def counting(self, *a, _init=init, **k):
+            made.append(type(self).__name__)
+            _init(self, *a, **k)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
 class TestArrayTables:
     """Named tables are written as rows by numpy; faces are built only on request."""
 
@@ -848,16 +939,8 @@ class TestArrayTables:
         t = make()
         assert_same_table(FaceWeightTable(t.kind, t.dim, zip(t.faces, t.weights)), t)
 
-    def test_builders_make_no_face_objects(self, monkeypatch):
-        made = []
-        for cls in (SignVector, BlockOrderedSetPartition):
-            init = cls.__init__
-
-            def counting(self, *a, _init=init, **k):
-                made.append(type(self).__name__)
-                _init(self, *a, **k)
-
-            monkeypatch.setattr(cls, "__init__", counting)
+    def test_builders_make_no_face_objects(self, face_constructions):
+        made = face_constructions
         tables = [riffle_face_weights(12), tsetlin_face_weights(normalize(np.ones(1448))),
                   ehrenfest_face_weights(1024), graph_coloring_face_weights(CYCLE7)]
         assert made == []
@@ -865,6 +948,29 @@ class TestArrayTables:
             t.entries_matrix()
         assert made == []
         assert len(tables[3].faces) == tables[3].m and len(made) == tables[3].m
+
+    def test_weight_of_builds_only_its_argument(self, face_constructions):
+        table = riffle_face_weights(12)
+        one_block = BlockOrderedSetPartition([range(1, 13)])
+        assert table.weight_of(one_block) == 2 * 0.5 ** 12
+        assert face_constructions == ["BlockOrderedSetPartition"]
+
+    @pytest.mark.parametrize("make", [lambda: riffle_face_weights(4),
+                                      lambda: ehrenfest_face_weights(3)],
+                             ids=["riffle4", "ehrenfest3"])
+    def test_weight_of_matches_listing(self, make):
+        t = make()
+        for face, w in zip(t.faces, t.weights):
+            assert t.weight_of(face) == w
+        chamber = (SignVector((1, -1, 1)) if t.kind == "boolean"
+                   else BlockOrderedSetPartition([{2}, {1}, {3}, {4}]))
+        assert t.weight_of(chamber) == 0.0
+
+    @pytest.mark.parametrize("face", [
+        SignVector((1, 0, 0, 0)), BlockOrderedSetPartition([{1, 2, 3}]), "1,2/3,4", None,
+    ], ids=["other_kind", "other_dimension", "string", "none"])
+    def test_weight_of_non_member(self, face):
+        assert riffle_face_weights(4).weight_of(face) == 0.0
 
     def test_rows_are_read_only(self):
         t = riffle_face_weights(3)

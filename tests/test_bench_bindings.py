@@ -3,11 +3,13 @@
 ``perfbench/tracer.py`` wraps the functions listed in its ``TARGETS`` and
 reads some of their parameters by name in its counters.  A renamed function
 or parameter would only surface in a benchmark run, so this checks them here.
+So is what the benchmark reads of a kernel: ``pi @ K`` and ``K.nbytes``.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+CHILD_PATH = TRACER_PATH.with_name("child.py")
 
 
 def _load_tracer():
@@ -124,3 +127,27 @@ def test_lazy_integrate_binding(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-c", LAZY_BINDING, str(TRACER_PATH)],
                           capture_output=True, text=True, cwd=tmp_path, env=child_env)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_child_tsetlin_solve(tmp_path, child_env):
+    """``child.py tsetlin-solve``, as the ``chambers`` workload runs it, solves to the Luce law."""
+    import numpy as np
+
+    from lucewalks import all_permutations, luce_pmf
+
+    w = [0.1, 0.2, 0.3, 0.4]
+    proc = subprocess.run([sys.executable, str(CHILD_PATH), "tsetlin-solve", json.dumps(w)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)
+    assert doc["residual"] <= 1e-10
+    expected = [luce_pmf(w, p) for p in all_permutations(4)]
+    assert np.abs(np.array(doc["pi"]) - expected).max() <= 1e-12
+
+
+def test_matrix_mib_reads_the_kernel():
+    from lucewalks import normalize, transition_matrix, tsetlin_face_weights
+
+    k_mat = transition_matrix(tsetlin_face_weights(normalize([1.0, 2.0, 3.0])))
+    mib = _load_tracer()._matrix_mib(None, k_mat)
+    assert isinstance(mib, float) and mib > 0.0

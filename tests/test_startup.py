@@ -1,11 +1,11 @@
 """Start-up cost: the package and its light commands run without scipy.
 
 Importing scipy costs about half a second, so only the code that needs it
-imports it, on first use: ``bottomk`` for its quadrature and ``arrangements``
-for sparse solves.  A child process with every ``scipy`` import blocked must
-still import the package and run each command that does no quadrature or
-stationary solve; and no module of the package may import scipy at module
-level.
+imports it, on first use: ``bottomk`` for its quadrature.  ``arrangements``
+solves for stationary laws with numpy alone and imports no scipy at all.  A
+child process with every ``scipy`` import blocked must still import the
+package and run each command that does no quadrature, stationary solves
+included; and no module of the package may import scipy at module level.
 """
 
 import ast
@@ -45,6 +45,7 @@ LIGHT_COMMANDS = [
     ["converge-test", "--family", "log", "--beta", "2"],
     ["converge-test", "--family", "log-loglog"],
     ["arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "3", "--samples", "5"],
+    ["arrangement", "stationary", "--model", "tsetlin", "--weights", "[1,2,3,4]", "--normalize"],
 ]
 
 
@@ -54,6 +55,15 @@ def test_light_commands_run_without_scipy(tmp_path, child_env):
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc == {"codes": [0] * len(LIGHT_COMMANDS), "scipy": []}, proc.stderr[-2000:]
+
+
+def _scipy_imports(node):
+    """(line, module) for each scipy module an import statement names."""
+    if isinstance(node, ast.Import):
+        return [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+    if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "scipy":
+        return [(node.lineno, node.module)]
+    return []
 
 
 def _module_level_scipy_imports(tree):
@@ -68,12 +78,7 @@ def _module_level_scipy_imports(tree):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            if isinstance(child, ast.Import):
-                found.extend((child.lineno, a.name) for a in child.names
-                             if a.name.split(".")[0] == "scipy")
-            elif isinstance(child, ast.ImportFrom) and child.module \
-                    and child.module.split(".")[0] == "scipy":
-                found.append((child.lineno, child.module))
+            found.extend(_scipy_imports(child))
             visit(child)
 
     visit(tree)
@@ -87,6 +92,12 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_level_scipy_import(path):
     assert _module_level_scipy_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_arrangements_imports_no_scipy():
+    # deferred imports included: the stationary solve is numpy only
+    tree = ast.parse((PACKAGE / "arrangements.py").read_text())
+    assert [hit for node in ast.walk(tree) for hit in _scipy_imports(node)] == []
 
 
 @pytest.mark.parametrize("source", [
