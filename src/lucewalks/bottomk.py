@@ -21,7 +21,8 @@ one-dimensional integral
 
 with T_m = theta_{a_1} + ... + theta_{a_m}, evaluated here after the
 substitution y = e^{-u x}, x in a unit u of the model's own (the law of c
-theta is the law of theta), by adaptive Gauss-Kronrod quadrature.  The log of
+theta is the law of theta), by adaptive 21-point Gauss-Kronrod quadrature
+whose integrand takes every node of a refinement round at once.  The log of
 the survival product is a head of terms summed directly plus the tail
 -sum_m S_n(m x) / m, where S_n(x) = sum_{i > n} e^{-theta_i x} is the tail of
 f itself: each weight family writes one certified bracket of S_n, read by
@@ -29,8 +30,7 @@ both f and this order sum.  An importance-sampling Monte Carlo estimator is
 provided as an independent cross-check.
 
 The module global ``integrate`` is the one place the quadrature is looked
-up.  Its ``quad`` imports ``scipy.integrate`` on the first call, so importing
-this module loads no scipy.
+up; its ``quad`` is that rule, in numpy alone.
 """
 
 import math
@@ -64,16 +64,85 @@ _HEAD_START = 32  # least head of the survival sum; the head doubles from here
 _TERMS_MAX = 1 << 21
 
 
-def _quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call, with ``IntegrationWarning`` muted."""
-    from scipy import integrate as quadpack
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21, Piessens et al. 1983):
+# the Kronrod nodes in ascending order, their weights, and the weights of the
+# embedded 10-point Gauss rule, zero on the nodes that rule lacks
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980640325, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1::2] = [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338]
+_GK_NODES = np.r_[-_XGK[:-1], _XGK[::-1]]
+_GK_WEIGHTS = np.r_[_WGK[:-1], _WGK[::-1]]
+_GAUSS_WEIGHTS = np.r_[_WG[:-1], _WG[::-1]]
+_EPS = np.finfo(np.float64).eps
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
-        return quadpack.quad(func, a, b, **kwargs)
+
+def _gk21_panels(func, lo, hi):
+    """Kronrod value, QUADPACK error estimate and resasc of each panel [lo_i, hi_i], in one call of func.
+
+    The estimate saturates at resasc, the mean deviation from the panel's
+    mean, when the Kronrod and Gauss values differ by more than resasc / 200.
+    """
+    half = 0.5 * (hi - lo)
+    f = func(((lo + hi)[:, None] * 0.5 + half[:, None] * _GK_NODES).ravel())
+    f = f.reshape(lo.size, _GK_NODES.size)
+    resk = f @ _GK_WEIGHTS
+    resabs = np.abs(f) @ _GK_WEIGHTS * np.abs(half)
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS * np.abs(half)
+    err = np.abs((resk - f @ _GAUSS_WEIGHTS) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return resk * half, np.maximum(50.0 * _EPS * resabs, err), resasc
 
 
-integrate = SimpleNamespace(quad=_quad)
+def _gk21_quad(func, a, b, *, epsabs, epsrel, limit=300, points=None):
+    """Adaptive 21-point Gauss-Kronrod quadrature of func over [a, b]: (value, abserr).
+
+    ``func`` maps a 1-D array of nodes to the array of integrand values, and
+    is called once per refinement round with the nodes of every new panel.
+    The first panels run between a, the ``points`` inside (a, b), and b.
+    While the summed error is above max(epsabs, epsrel |value|), each panel
+    whose error is above its length's share of that target is bisected, the
+    largest errors first once the panels would pass ``limit``.  As in
+    QUADPACK's qags, a lone first panel whose estimate saturated is bisected
+    whatever its error.  At the limit the current value and error are
+    returned, as QUADPACK does.
+    """
+    edges = np.unique([a, b, *(p for p in points or () if a < p < b)])
+    lo, hi = edges[:-1], edges[1:]
+    val, err, resasc = _gk21_panels(func, lo, hi)
+    refine = lo.size == 1 and 0.0 != err[0] == resasc[0]
+    while True:
+        target = max(epsabs, epsrel * abs(val.sum()))
+        if (err.sum() <= target and not refine) or lo.size >= limit:
+            return float(val.sum()), float(err.sum())
+        split = np.flatnonzero(~(err <= target * (hi - lo) / (b - a)) | refine)
+        refine = False
+        split = split[np.argsort(-err[split], kind="stable")[:limit - lo.size]]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]
+        new_val, new_err, _ = _gk21_panels(func, new_lo, new_hi)
+        lo, hi = np.r_[lo[keep], new_lo], np.r_[hi[keep], new_hi]
+        val, err = np.r_[val[keep], new_val], np.r_[err[keep], new_err]
+
+
+integrate = SimpleNamespace(quad=_gk21_quad)
 
 
 class WeightSequence:
@@ -202,25 +271,33 @@ SEQUENCE_FAMILIES = {
 _DE_T = np.arange(-160, 161) / 32.0
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_T))
 _DE_WEIGHTS = _DE_NODES * np.cosh(_DE_T) * (0.5 * np.pi / 32.0)
+_DE_LOG1P = np.log1p(_DE_NODES)
 
 _HEAD_BLOCK = 1 << 18  # (node, term) pairs summed per numpy call
 _FIRST_ORDERS = np.arange(1.0, 5.0)  # orders 1..3 of the log-survival tail, and the fold's 4
 
 
 def _loglog_tail_integral(y, a):
-    """integral_a^inf u^-y log(u)^-2y du for y >= 1 and a > e (arrays broadcast).
+    """integral_a^inf u^-y log(u)^-2y du for y >= 1 (an array) and a > e.
 
     With u = a^(1+w) it equals a^(1-y) log(a)^(1-2y) times
-    integral_0^inf e^{-(y-1) log(a) w} (1+w)^(-2y) dw.
+    integral_0^inf e^{-(y-1) log(a) w} (1+w)^(-2y) dw, summed over the
+    exp-sinh nodes in blocks of at most _HEAD_BLOCK (entry, node) pairs.
     """
-    y = np.asarray(y, dtype=np.float64)[..., None]
-    la = np.log(np.asarray(a, dtype=np.float64))[..., None]
-    integrand = np.exp(-(y - 1.0) * la * _DE_NODES - 2.0 * y * np.log1p(_DE_NODES))
-    scale = np.exp((1.0 - y) * la + (1.0 - 2.0 * y) * np.log(la))
-    return (scale * integrand @ _DE_WEIGHTS[:, None])[..., 0]
+    y = np.asarray(y, dtype=np.float64)
+    la = np.log(np.asarray(a, dtype=np.float64))
+    flat = y.reshape(-1)
+    out = np.empty(flat.shape)
+    step = _HEAD_BLOCK // _DE_NODES.size
+    for j in range(0, flat.size, step):
+        b = flat[j:j + step]
+        integrand = np.exp((1.0 - b[:, None]) * la * _DE_NODES - 2.0 * b[:, None] * _DE_LOG1P)
+        scale = np.exp((1.0 - b) * la + (1.0 - 2.0 * b) * np.log(la))
+        out[j:j + step] = scale * np.einsum("ij,j->i", integrand, _DE_WEIGHTS)
+    return out.reshape(y.shape)
 
 
-def _exp_sum_tail(seq, n_terms, x):
+def _exp_sum_tail(seq, n_terms, x, lower=True):
     """Bracket (lo, hi) of S(x) = sum_{i > n_terms} exp(-theta_i x), elementwise over an array x.
 
     The only code that knows a family's tail.  ``linear`` is the geometric sum
@@ -229,38 +306,51 @@ def _exp_sum_tail(seq, n_terms, x):
     trapezoid bound integral_q^inf g + g(q)/2 and the midpoint bound
     integral_{q-1/2}^inf g (q - 1/2 > e for log-loglog).  (inf, inf) means S
     diverges; a custom sequence gives (0, tail_bound), or (0, inf) without one.
+    With ``lower=False`` only hi is computed and lo is None.
     """
     x = np.asarray(x, dtype=np.float64)
     q = n_terms + 2.0
-    with np.errstate(divide="ignore"):
-        if seq.family == "linear":
-            # a zero denominator at x <= 0 makes S infinite
-            s = np.exp(-(n_terms + 1) * x) / np.maximum(-np.expm1(-x), 0.0)
-            return s, s
-        if seq.family == "log":
-            # integral_a^inf k^-s dk = a^-e / e with e = s - 1, infinite for e <= 0
-            s = seq.beta * x
-            e = np.maximum(s - 1.0, 0.0)
-            return q ** -e / e + 0.5 * q ** -s, (q - 0.5) ** -e / e
-    if seq.family == "log-loglog":
+    if seq.family == "linear":
+        # a zero denominator at x <= 0 makes S infinite
+        with np.errstate(divide="ignore"):
+            lo = hi = np.exp(-(n_terms + 1) * x) / np.maximum(-np.expm1(-x), 0.0)
+    elif seq.family == "log":
+        # integral_a^inf k^-s dk = a^-e / e with e = s - 1, infinite for e <= 0
+        s = seq.beta * x
+        e = np.maximum(s - 1.0, 0.0)
+        with np.errstate(divide="ignore"):
+            lo, hi = q ** -e / e + 0.5 * q ** -s, (q - 0.5) ** -e / e
+    elif seq.family == "log-loglog":
         lo, hi = np.full(x.shape, math.inf), np.full(x.shape, math.inf)
         ok = x >= 1.0
         v = x[ok]
-        lo[ok] = _loglog_tail_integral(v, q) + 0.5 * q ** -v * math.log(q) ** (-2.0 * v)
+        if lower:
+            lo[ok] = _loglog_tail_integral(v, q) + 0.5 * q ** -v * math.log(q) ** (-2.0 * v)
         hi[ok] = _loglog_tail_integral(v, q - 0.5)
-        return lo, hi
-    if seq.family == "constant":
-        return np.full(x.shape, math.inf), np.full(x.shape, math.inf)
-    hi = np.full(x.shape, math.inf) if seq.tail_bound is None else \
-        np.reshape([float(seq.tail_bound(n_terms, v)) for v in x.flat], x.shape)
-    return np.zeros(x.shape), hi
+    elif seq.family == "constant":
+        lo = hi = np.full(x.shape, math.inf)
+    else:
+        lo = np.zeros(x.shape)
+        hi = np.full(x.shape, math.inf) if seq.tail_bound is None else \
+            np.reshape([float(seq.tail_bound(n_terms, v)) for v in x.flat], x.shape)
+    return (lo if lower else None), hi
 
 
 def _order_block(seq, n_terms, x, r, m):
-    """Orders m[:-1] of sum_m S(m x) / m, bracketed, and the fold of the orders from m[-1] on."""
-    s_lo, s_hi = _exp_sum_tail(seq, n_terms, x[:, None] * m)
+    """Orders m[:-1] of sum_m S(m x) / m, bracketed, and the fold of the orders from m[-1] on.
+
+    Rows of x go through in blocks of at most _HEAD_BLOCK (node, order) pairs.
+    """
+    step = max(1, _HEAD_BLOCK // m.size)
     w = 1.0 / m[:-1]
-    return np.dot(s_lo[:, :-1], w), np.dot(s_hi[:, :-1], w), s_hi[:, -1] / (m[-1] * (1.0 - r))
+    out = np.empty((3, x.size))
+    for j in range(0, x.size, step):
+        xs = x[j:j + step, None]
+        s_lo, s_hi = _exp_sum_tail(seq, n_terms, xs * m[:-1])
+        fold = _exp_sum_tail(seq, n_terms, xs[:, 0] * m[-1], lower=False)[1]
+        out[:, j:j + step] = (np.einsum("ij,j->i", s_lo, w), np.einsum("ij,j->i", s_hi, w),
+                              fold / (m[-1] * (1.0 - r[j:j + step])))
+    return out
 
 
 def _needs_orders(lo_mag, hi_mag, fold):
@@ -508,9 +598,12 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
     the sorted array ``outside`` (not in ``a``) steps the survival up at x
     below 40/theta; a step by y = 1 that the first rule's nodes miss, out of
     reach of the step below it, has its edge as a breakpoint, as has x0 > 0.
-    ``log_survival_bracket(x)`` returns (lo, hi) enclosing the log survival
-    product.  The integrand uses the midpoint; the worst node-wise gap of the
-    envelope joins the quadrature error before the tolerance check, so tails
+    ``log_survival_bracket(x)`` returns arrays (lo, hi) enclosing the log
+    survival product at an array of nodes x; ``integrate.quad`` calls the
+    integrand once per refinement round with every new panel's 21 nodes, so
+    the bracket sees each round as one batch.  The integrand uses the
+    midpoint; the worst node-wise gap of the envelope, the maximum over all
+    batches, joins the quadrature error before the tolerance check, so tails
     that cannot be bracketed tightly fail loudly, not silently degraded.
     """
     th = np.asarray(theta_a, dtype=np.float64)
@@ -524,17 +617,17 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
 
     def integrand(y):
         nonlocal worst_gap
-        if y <= 0.0 or y >= 1.0:
-            return 0.0
-        log_y = math.log(y)
+        value = np.zeros(y.shape)
+        inside = (y > 0.0) & (y < 1.0)
+        log_y = np.log(y[inside])
         lo, hi = log_survival_bracket(-log_y / u)
         base = power * log_y
         t_hi = base + hi
-        if t_hi <= -745.0 or t_hi == -math.inf:
-            return 0.0
         t_mid = base + 0.5 * (lo + hi)
-        value = 0.0 if t_mid <= -745.0 else scale * math.exp(t_mid)
-        worst_gap = max(worst_gap, scale * math.exp(t_hi) - value)
+        v = np.where(t_mid <= -745.0, 0.0, scale * np.exp(t_mid))
+        gap = np.where(t_hi <= -745.0, 0.0, scale * np.exp(t_hi) - v)
+        worst_gap = max(worst_gap, gap.max(initial=0.0))
+        value[inside] = v
         return value
 
     lone = outside[np.r_[True, outside[1:] > 64.0 * outside[:-1]] & (40.0 * u < 0.05 * outside)]
@@ -542,7 +635,7 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
     val, abserr = integrate.quad(integrand, 0.0, 1.0, epsabs=0.5 * tol,
                                  epsrel=min(1e-8, 0.1 * tol), limit=300, points=points)
     # the y interval has unit length, so max node gap bounds its integral
-    if abserr + worst_gap > tol:
+    if not abserr + worst_gap <= tol:
         raise ToleranceError(
             f"certified error {abserr + worst_gap:g} exceeds tol {tol:g} "
             f"(quadrature {abserr:g}, survival bracket {worst_gap:g})"
@@ -565,8 +658,7 @@ def limit_bottom_pmf(seq, a, tol=1e-8):
     rel = min(1e-9, max(0.01 * tol, 1e-14))
 
     def ln_surv(x):
-        lo, hi = _log_survival_bracket(seq, [x], exclude, rel)
-        return lo[0], hi[0]
+        return _log_survival_bracket(seq, x, exclude, rel)
 
     x0 = 0.0
     if seq.family in _ANALYTIC_CLASSIFICATION:
@@ -611,8 +703,8 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
         return float(np.prod(theta_a / t_partial))
 
     def ln_surv(x):
-        v = float(_head_log_survival(np.array([x]), others)[0])
-        return (v, v)
+        v = _head_log_survival(x, others)
+        return v, v
 
     return _telescoped_integral(theta_a, np.sort(others), ln_surv, tol)
 

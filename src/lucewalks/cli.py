@@ -137,7 +137,7 @@ def read_jsonl_text(text):
 
 # a family spec's n above this is refused before its weights are allocated (80 MB)
 _FAMILY_N_MAX = 10**7
-# bottom-table makes one certified quadrature per label, 10-30 ms each
+# bottom-table makes one certified quadrature per label, 2-3 ms each at the default tol
 _MAX_LABEL_MAX = 1000
 
 # a family name given to --weights stands for this object spec plus --n and --zipf-s

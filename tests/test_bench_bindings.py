@@ -66,7 +66,6 @@ def test_module_bindings():
 
 LAZY_BINDING = '''
 import importlib.util
-import math
 import sys
 
 
@@ -103,26 +102,31 @@ proxy = Counting()
 bottomk.integrate = proxy
 bottomk.limit_bottom_pmf(bottomk.linear_weights(), (1,))
 assert proxy.calls >= 1, proxy.calls
+assert not scipy_loaded(), scipy_loaded()
 
+import numpy as np
 import scipy.integrate
 
 
 def f(x):
-    return math.exp(-x) * math.sin(3.0 * x) ** 2
+    return np.exp(-x) * np.sin(3.0 * x) ** 2
 
 
 kwargs = dict(epsabs=1e-12, epsrel=1e-10, limit=200, points=[0.5, 2.0])
-assert quad(f, 0.0, 4.0, **kwargs) == scipy.integrate.quad(f, 0.0, 4.0, **kwargs)
+value, abserr = quad(f, 0.0, 4.0, **kwargs)
+ref, _ = scipy.integrate.quad(f, 0.0, 4.0, **kwargs)
+assert 0.0 < abserr <= 1e-10 and abs(value - ref) <= abserr, (value, abserr, ref)
 '''
 
 
 def test_lazy_integrate_binding(tmp_path, child_env):
-    """``bottomk.integrate`` loads scipy only when ``quad`` is called, and is read at each quadrature.
+    """``bottomk.integrate`` is numpy only, and is read at each quadrature.
 
-    In a fresh process: importing ``lucewalks.cli``, reading the binding and
-    installing the tracer load no ``scipy`` module; a proxy set at that name
-    sees the quadrature calls; and ``quad`` returns what ``scipy.integrate.quad``
-    returns.
+    In a fresh process: importing ``lucewalks.cli``, reading the binding,
+    installing the tracer and running a quadrature load no ``scipy`` module;
+    a proxy set at that name sees the quadrature calls; and ``quad`` agrees
+    with ``scipy.integrate.quad``, the test's oracle, within its own error
+    estimate on the same integrand and breakpoints.
     """
     proc = subprocess.run([sys.executable, "-c", LAZY_BINDING, str(TRACER_PATH)],
                           capture_output=True, text=True, cwd=tmp_path, env=child_env)

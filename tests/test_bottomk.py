@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lucewalks import (
     RngStream,
     ToleranceError,
     WeightSequence,
+    WeightVector,
     constant_weights,
     convergence_test,
     f_eval,
@@ -757,3 +760,177 @@ class TestToleranceChecks:
     def test_raises_precondition(self, call, tol):
         with pytest.raises(PreconditionError, match="tol"):
             call(tol)
+
+
+def scipy_quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad`` fed one node per call: the oracle of the batched rule."""
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(lambda y: float(func(np.array([y]))[0]), a, b, **kwargs)
+
+
+def _limit_table(factory, labels, tol):
+    seq = factory()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DefectiveMassWarning)
+        return [limit_bottom_pmf(seq, a, tol=tol) for a in labels]
+
+
+# the bottom workload's four tasks, then the stress cases
+QUADRATURE_CASES = {
+    "log_beta2": lambda: _limit_table(lambda: log_weights(2.0), [(1,), (2,), (3,)], 1e-6),
+    "log_loglog": lambda: _limit_table(log_loglog_weights, [(1,), (2,)], 1e-4),
+    "linear": lambda: _limit_table(
+        linear_weights, [(v,) for v in range(1, 11)] + [(1, 2), (3, 1, 4)], 1e-8),
+    "finite_n": lambda: [finite_n_bottom_pmf(WeightVector(np.arange(1.0, 2001.0)), (1,))],
+    "log_beta1.05": lambda: _limit_table(lambda: log_weights(1.05), [(2, 5)], 1e-6),
+    "log_beta3": lambda: _limit_table(lambda: log_weights(3.0), [(2, 5)], 1e-6),
+    "log_loglog_3": lambda: _limit_table(log_loglog_weights, [(3,)], 1e-4),
+    "linear_1e-12": lambda: _limit_table(linear_weights, [(1,), (2, 5)], 1e-12),
+}
+QUADRATURE_TOL = {"log_beta2": 1e-6, "log_loglog": 1e-4, "linear": 1e-8, "finite_n": 1e-10,
+                  "log_beta1.05": 1e-6, "log_beta3": 1e-6, "log_loglog_3": 1e-4,
+                  "linear_1e-12": 1e-12}
+
+
+class TestGaussKronrodRule:
+    """``bottomk.integrate.quad``: QUADPACK's 21-point rule, one integrand call per round."""
+
+    def test_gauss_nodes_are_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = bottomk._GAUSS_WEIGHTS != 0.0
+        assert gauss.sum() == 10
+        np.testing.assert_allclose(bottomk._GK_NODES[gauss], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(bottomk._GAUSS_WEIGHTS[gauss], weights, rtol=0.0, atol=1e-15)
+
+    def test_kronrod_exact_to_degree_31(self):
+        for d in range(32):
+            val, _ = bottomk.integrate.quad(lambda x: x ** d, 0.0, 1.0, epsabs=1.0,
+                                            epsrel=0.0, limit=1)
+            assert abs(val - 1.0 / (d + 1)) <= 1e-14, d
+
+    @pytest.mark.parametrize("power,calls", [(200, 2), (2, 1)])
+    def test_saturated_lone_panel_is_refined(self, power, calls):
+        # as in QUADPACK's qags, a lone first panel whose estimate saturated is
+        # bisected even when that estimate meets the target
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x ** power
+
+        bottomk.integrate.quad(f, 0.0, 1.0, epsabs=1.0, epsrel=0.0)
+        assert len(sizes) == calls
+
+    @pytest.mark.parametrize("case", QUADRATURE_CASES)
+    def test_agrees_with_scipy_quad(self, monkeypatch, case):
+        got = QUADRATURE_CASES[case]()
+        monkeypatch.setattr(bottomk, "integrate", SimpleNamespace(quad=scipy_quad))
+        ref = QUADRATURE_CASES[case]()
+        assert np.abs(np.subtract(got, ref)).max() <= QUADRATURE_TOL[case]
+
+    def test_unconverged_names_both_parts(self):
+        # the survival flips between 1/2 and 1 a thousand times across x in (0, 5):
+        # no 300 panels resolve it to 1e-10
+        def ln_surv(x):
+            v = np.log(0.75 + 0.25 * np.sign(np.sin(200.0 * np.pi * x)))
+            return v, v
+
+        with pytest.raises(ToleranceError,
+                           match=r"exceeds tol 1e-10 \(quadrature \S+, survival bracket 0\)"):
+            bottomk._telescoped_integral([1.0], np.array([2.0]), ln_surv, 1e-10)
+
+    def test_stops_at_panel_limit(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.sign(np.sin(200.0 * np.pi * x))
+
+        val, err = bottomk.integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=300)
+        assert err > 1e-12
+        assert all(n % 21 == 0 for n in sizes)
+        # each round adds half its new panels, so the leaves never pass the limit
+        assert 1 + sum(n // 42 for n in sizes[1:]) <= 300
+
+    @pytest.mark.parametrize("case", ["log_beta2", "linear", "finite_n"])
+    def test_calls_and_nodes_repeat(self, monkeypatch, case):
+        def count():
+            sizes = []
+
+            def quad(func, *args, **kwargs):
+                def counted(y):
+                    sizes.append(y.size)
+                    return func(y)
+
+                return bottomk._gk21_quad(counted, *args, **kwargs)
+
+            monkeypatch.setattr(bottomk, "integrate", SimpleNamespace(quad=quad))
+            values = QUADRATURE_CASES[case]()
+            return len(sizes), sum(sizes), values
+
+        first = count()
+        assert first[0] > 0 and first[1] % 21 == 0
+        assert count() == first
+
+
+class TestWideRounds:
+    """A full 300-panel round, 6300 nodes, goes through the survival bracket in bounded blocks."""
+
+    # one block is _HEAD_BLOCK float64 cells; the head sum and each order block
+    # hold a few temporaries of that size at once
+    BLOCKS = 6
+
+    @pytest.mark.parametrize("factory,x0", [(lambda: log_weights(1.05), 1.0 / 1.05),
+                                            (linear_weights, 0.0),
+                                            (log_loglog_weights, 1.0)],
+                             ids=["log1.05", "linear", "log-loglog"])
+    def test_round_memory_bounded(self, factory, x0):
+        seq = factory()
+        seq.thetas(bottomk._TERMS_MAX)  # the weight cache is not the round's
+        x = x0 + np.geomspace(1e-4, 2.0, 6300)
+        tracemalloc.start()
+        try:
+            lo, hi = bottomk._log_survival_bracket(seq, x, frozenset({2}), 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(lo <= hi)
+        assert peak <= self.BLOCKS * 8 * bottomk._HEAD_BLOCK, peak / (8 * bottomk._HEAD_BLOCK)
+
+    @pytest.mark.parametrize("head_block", [1 << 18, 1 << 10])
+    @pytest.mark.parametrize("factory,x0", [(lambda: log_weights(1.05), 1.0 / 1.05),
+                                            (linear_weights, 0.0),
+                                            (log_loglog_weights, 1.0)],
+                             ids=["log1.05", "linear", "log-loglog"])
+    def test_blocks_and_fold_leave_values_unchanged(self, monkeypatch, factory, x0, head_block):
+        # the orders of all nodes at once, upper and lower bound of every column,
+        # bit for bit against the blocked call that skips the fold's lower bound
+        seq = factory()
+        x = x0 + np.geomspace(1e-3, 2.0, 500)
+        r = np.exp(-seq.theta(32) * x)
+        m = np.arange(4.0, 17.0)
+        s_lo, s_hi = bottomk._exp_sum_tail(seq, 31, x[:, None] * m)
+        w = 1.0 / m[:-1]
+        want = (np.einsum("ij,j->i", s_lo[:, :-1], w), np.einsum("ij,j->i", s_hi[:, :-1], w),
+                s_hi[:, -1] / (m[-1] * (1.0 - r)))
+        monkeypatch.setattr(bottomk, "_HEAD_BLOCK", head_block)
+        got = bottomk._order_block(seq, 31, x, r, m)
+        for g, e in zip(got, want):
+            np.testing.assert_array_equal(g, e)
+
+    def test_fold_skips_the_lower_integral(self, monkeypatch):
+        entries = []
+        integral = bottomk._loglog_tail_integral
+
+        def counted(y, a):
+            entries.append(np.size(y))
+            return integral(y, a)
+
+        monkeypatch.setattr(bottomk, "_loglog_tail_integral", counted)
+        x = np.linspace(1.0, 3.0, 50)
+        bottomk._order_block(log_loglog_weights(), 31, x, np.zeros(50), np.arange(1.0, 5.0))
+        # both bounds of orders 1..3, the upper bound alone of the fold's order 4
+        assert sum(entries) == 50 * (2 * 3 + 1)
