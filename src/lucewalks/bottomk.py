@@ -91,22 +91,25 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _gk21_panels(func, lo, hi):
-    """Kronrod value, QUADPACK error estimate and resasc of each panel [lo_i, hi_i], in one call of func.
+    """Kronrod value, QUADPACK error estimate, its rounding floor and saturation of each panel.
 
-    The estimate saturates at resasc, the mean deviation from the panel's
-    mean, when the Kronrod and Gauss values differ by more than resasc / 200.
+    One call of func covers every panel [lo_i, hi_i].  The estimate is never
+    below 50 eps times the panel's integral of |f|, a floor that bisection
+    cannot lower, and saturates at resasc, the mean deviation from the
+    panel's mean, when the Kronrod and Gauss values differ by more than
+    resasc / 200.
     """
     half = 0.5 * (hi - lo)
     f = func(((lo + hi)[:, None] * 0.5 + half[:, None] * _GK_NODES).ravel())
     f = f.reshape(lo.size, _GK_NODES.size)
     resk = f @ _GK_WEIGHTS
-    resabs = np.abs(f) @ _GK_WEIGHTS * np.abs(half)
+    floor = 50.0 * _EPS * (np.abs(f) @ _GK_WEIGHTS * np.abs(half))
     resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS * np.abs(half)
     err = np.abs((resk - f @ _GAUSS_WEIGHTS) * half)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return resk * half, np.maximum(50.0 * _EPS * resabs, err), resasc
+    err = np.maximum(floor, np.where((resasc != 0.0) & (err != 0.0), scaled, err))
+    return resk * half, err, floor, (err == resasc) & (err != 0.0)
 
 
 def _gk21_quad(func, a, b, *, epsabs, epsrel, limit=300, points=None):
@@ -116,30 +119,32 @@ def _gk21_quad(func, a, b, *, epsabs, epsrel, limit=300, points=None):
     is called once per refinement round with the nodes of every new panel.
     The first panels run between a, the ``points`` inside (a, b), and b.
     While the summed error is above max(epsabs, epsrel |value|), each panel
-    whose error is above its length's share of that target is bisected, the
-    largest errors first once the panels would pass ``limit``.  As in
-    QUADPACK's qags, a lone first panel whose estimate saturated is bisected
-    whatever its error.  At the limit the current value and error are
-    returned, as QUADPACK does.
+    whose error is above its length's share of that target, and above its
+    rounding floor, is bisected, the largest errors first once the panels
+    would pass ``limit``.  As in QUADPACK's qags, a lone first panel whose
+    estimate saturated is bisected whatever its error.  When no panel can be
+    bisected, or at the limit, the current value and error are returned, as
+    QUADPACK does.
     """
     edges = np.unique([a, b, *(p for p in points or () if a < p < b)])
     lo, hi = edges[:-1], edges[1:]
-    val, err, resasc = _gk21_panels(func, lo, hi)
-    refine = lo.size == 1 and 0.0 != err[0] == resasc[0]
+    val, err, floor, saturated = _gk21_panels(func, lo, hi)
+    refine = lo.size == 1 and saturated[0]
     while True:
         target = max(epsabs, epsrel * abs(val.sum()))
-        if (err.sum() <= target and not refine) or lo.size >= limit:
+        split = np.flatnonzero(~(err <= target * (hi - lo) / (b - a)) & (err > floor) | refine)
+        if (err.sum() <= target and not refine) or split.size == 0 or lo.size >= limit:
             return float(val.sum()), float(err.sum())
-        split = np.flatnonzero(~(err <= target * (hi - lo) / (b - a)) | refine)
         refine = False
         split = split[np.argsort(-err[split], kind="stable")[:limit - lo.size]]
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]
-        new_val, new_err, _ = _gk21_panels(func, new_lo, new_hi)
+        new_val, new_err, new_floor, _ = _gk21_panels(func, new_lo, new_hi)
         lo, hi = np.r_[lo[keep], new_lo], np.r_[hi[keep], new_hi]
         val, err = np.r_[val[keep], new_val], np.r_[err[keep], new_err]
+        floor = np.r_[floor[keep], new_floor]
 
 
 integrate = SimpleNamespace(quad=_gk21_quad)

@@ -17,7 +17,6 @@ from lucewalks import (
     RngStream,
     ToleranceError,
     WeightSequence,
-    WeightVector,
     constant_weights,
     convergence_test,
     f_eval,
@@ -771,28 +770,31 @@ def scipy_quad(func, a, b, **kwargs):
         return integrate.quad(lambda y: float(func(np.array([y]))[0]), a, b, **kwargs)
 
 
-def _limit_table(factory, labels, tol):
-    seq = factory()
+# name: (a weight-sequence factory, or finite weights; labels; tol), first the
+# bottom workload's four tasks, then the stress cases
+QUADRATURE_CASES = {
+    "log_beta2": (lambda: log_weights(2.0), [(1,), (2,), (3,)], 1e-6),
+    "log_loglog": (log_loglog_weights, [(1,), (2,)], 1e-4),
+    "linear": (linear_weights, [(v,) for v in range(1, 11)] + [(1, 2), (3, 1, 4)], 1e-8),
+    "finite_n": (np.arange(1.0, 2001.0), [(1,)], 1e-10),
+    "log_beta1.05": (lambda: log_weights(1.05), [(2, 5)], 1e-6),
+    "log_beta3": (lambda: log_weights(3.0), [(2, 5)], 1e-6),
+    "log_loglog_3": (log_loglog_weights, [(3,)], 1e-4),
+    "linear_1e-12": (linear_weights, [(1,), (2, 5)], 1e-12),
+    # near the rounding floor: bisecting panels at their floor used up the 300 panels
+    "log_beta2_1e-14": (lambda: log_weights(2.0), [(1,)], 1e-14),
+    "log_loglog_1e-14": (log_loglog_weights, [(1,)], 1e-14),
+}
+
+
+def _quadrature_case(case):
+    weights, labels, tol = QUADRATURE_CASES[case]
+    if isinstance(weights, np.ndarray):
+        return [finite_n_bottom_pmf(weights, a, tol=tol) for a in labels]
+    seq = weights()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DefectiveMassWarning)
         return [limit_bottom_pmf(seq, a, tol=tol) for a in labels]
-
-
-# the bottom workload's four tasks, then the stress cases
-QUADRATURE_CASES = {
-    "log_beta2": lambda: _limit_table(lambda: log_weights(2.0), [(1,), (2,), (3,)], 1e-6),
-    "log_loglog": lambda: _limit_table(log_loglog_weights, [(1,), (2,)], 1e-4),
-    "linear": lambda: _limit_table(
-        linear_weights, [(v,) for v in range(1, 11)] + [(1, 2), (3, 1, 4)], 1e-8),
-    "finite_n": lambda: [finite_n_bottom_pmf(WeightVector(np.arange(1.0, 2001.0)), (1,))],
-    "log_beta1.05": lambda: _limit_table(lambda: log_weights(1.05), [(2, 5)], 1e-6),
-    "log_beta3": lambda: _limit_table(lambda: log_weights(3.0), [(2, 5)], 1e-6),
-    "log_loglog_3": lambda: _limit_table(log_loglog_weights, [(3,)], 1e-4),
-    "linear_1e-12": lambda: _limit_table(linear_weights, [(1,), (2, 5)], 1e-12),
-}
-QUADRATURE_TOL = {"log_beta2": 1e-6, "log_loglog": 1e-4, "linear": 1e-8, "finite_n": 1e-10,
-                  "log_beta1.05": 1e-6, "log_beta3": 1e-6, "log_loglog_3": 1e-4,
-                  "linear_1e-12": 1e-12}
 
 
 class TestGaussKronrodRule:
@@ -826,10 +828,10 @@ class TestGaussKronrodRule:
 
     @pytest.mark.parametrize("case", QUADRATURE_CASES)
     def test_agrees_with_scipy_quad(self, monkeypatch, case):
-        got = QUADRATURE_CASES[case]()
+        got = _quadrature_case(case)
         monkeypatch.setattr(bottomk, "integrate", SimpleNamespace(quad=scipy_quad))
-        ref = QUADRATURE_CASES[case]()
-        assert np.abs(np.subtract(got, ref)).max() <= QUADRATURE_TOL[case]
+        ref = _quadrature_case(case)
+        assert np.abs(np.subtract(got, ref)).max() <= QUADRATURE_CASES[case][2]
 
     def test_unconverged_names_both_parts(self):
         # the survival flips between 1/2 and 1 a thousand times across x in (0, 5):
@@ -868,7 +870,7 @@ class TestGaussKronrodRule:
                 return bottomk._gk21_quad(counted, *args, **kwargs)
 
             monkeypatch.setattr(bottomk, "integrate", SimpleNamespace(quad=quad))
-            values = QUADRATURE_CASES[case]()
+            values = _quadrature_case(case)
             return len(sizes), sum(sizes), values
 
         first = count()
@@ -906,12 +908,13 @@ class TestWideRounds:
                                             (log_loglog_weights, 1.0)],
                              ids=["log1.05", "linear", "log-loglog"])
     def test_blocks_and_fold_leave_values_unchanged(self, monkeypatch, factory, x0, head_block):
-        # the orders of all nodes at once, upper and lower bound of every column,
+        # the orders of all nodes in one block, upper and lower bound of every column,
         # bit for bit against the blocked call that skips the fold's lower bound
         seq = factory()
         x = x0 + np.geomspace(1e-3, 2.0, 500)
         r = np.exp(-seq.theta(32) * x)
         m = np.arange(4.0, 17.0)
+        monkeypatch.setattr(bottomk, "_HEAD_BLOCK", 1 << 40)
         s_lo, s_hi = bottomk._exp_sum_tail(seq, 31, x[:, None] * m)
         w = 1.0 / m[:-1]
         want = (np.einsum("ij,j->i", s_lo[:, :-1], w), np.einsum("ij,j->i", s_hi[:, :-1], w),

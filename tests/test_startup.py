@@ -46,6 +46,8 @@ LIGHT_COMMANDS = [
     ["converge-test", "--family", "log", "--beta", "2"],
     ["converge-test", "--family", "log-loglog"],
     ["arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "3", "--samples", "5"],
+    ["arrangement", "sim", "--model", "tsetlin", "--weights", "[1,2,3]", "--normalize",
+     "--steps", "5"],
     ["arrangement", "stationary", "--model", "tsetlin", "--weights", "[1,2,3,4]", "--normalize"],
     ["bottom-table", "--family", "linear", "--max-label", "3", "--tol", "1e-8"],
 ]
