@@ -132,7 +132,7 @@ def _gk21_quad(func, a, b, *, epsabs, epsrel, limit=300, points=None):
     refine = lo.size == 1 and saturated[0]
     while True:
         target = max(epsabs, epsrel * abs(val.sum()))
-        split = np.flatnonzero(~(err <= target * (hi - lo) / (b - a)) & (err > floor) | refine)
+        split = np.flatnonzero((err > np.maximum(floor, target * (hi - lo) / (b - a))) | refine)
         if (err.sum() <= target and not refine) or split.size == 0 or lo.size >= limit:
             return float(val.sum()), float(err.sum())
         refine = False
