@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .core import (Permutation, _check_tol, as_permutation, as_weight_vector,
                    permutation_rank_many)
-from .exceptions import PreconditionError, ToleranceError
+from .exceptions import PreconditionError, ToleranceError, _as_int, _as_ints
 
 __all__ = [
     "SignVector",
@@ -55,6 +55,7 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 BOOLEAN_ENUM_MAX = 15   # 2^15 chambers
 BRAID_ENUM_MAX = 8      # 8! chambers
+_ENUM_MAX = {"boolean": BOOLEAN_ENUM_MAX, "braid": BRAID_ENUM_MAX}
 KERNEL_NNZ_MAX = 1 << 26  # chambers x faces ranks of a kernel (256 MiB of int32)
 TABLE_ENTRIES_MAX = 1 << 21  # faces x dim of a Tsetlin, Ehrenfest or coloring table
 
@@ -71,11 +72,9 @@ class SignVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        t = tuple(int(v) for v in entries)
+        t = _as_ints(entries, "sign entry", -1, 1)
         if not t:
             raise PreconditionError("sign vector needs at least one entry")
-        if any(v not in (-1, 0, 1) for v in t):
-            raise PreconditionError("entries must lie in {-1, 0, +1}")
         self.entries = t
 
     @classmethod
@@ -122,7 +121,7 @@ class BlockOrderedSetPartition:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        bs = tuple(frozenset(int(x) for x in b) for b in blocks)
+        bs = tuple(frozenset(_as_ints(b, "label")) for b in blocks)
         if not bs or any(not b for b in bs):
             raise PreconditionError("blocks must be nonempty")
         n = sum(len(b) for b in bs)
@@ -134,7 +133,11 @@ class BlockOrderedSetPartition:
     @classmethod
     def from_string(cls, s):
         """Parse '1,3/2/4,5' (blocks slash-separated, labels comma-separated)."""
-        return cls([part.split(",") for part in s.split("/")])
+        try:
+            blocks = [[int(t) for t in part.split(",")] for part in s.split("/")]
+        except ValueError:
+            raise PreconditionError(f"bad label in {s!r}") from None
+        return cls(blocks)
 
     @property
     def n(self):
@@ -227,11 +230,8 @@ class FaceWeightTable:
     __slots__ = ("kind", "dim", "weights", "_entries")
 
     def __init__(self, kind, dim, pairs):
-        if kind not in ("boolean", "braid"):
-            raise PreconditionError("kind must be 'boolean' or 'braid'")
-        dim = int(dim)
-        if dim < 1:
-            raise PreconditionError("dimension must be at least 1")
+        _check_kind(kind)
+        dim = _as_int(dim, "dimension", 1)
         face_cls = SignVector if kind == "boolean" else BlockOrderedSetPartition
         rows, weights = [], []
         for face, weight in pairs.items() if isinstance(pairs, dict) else pairs:
@@ -346,13 +346,15 @@ def walk_step(chain, rng):
 # exact machinery at enumerable scale
 # ---------------------------------------------------------------------------
 
+def _check_kind(kind):
+    if kind not in _ENUM_MAX:
+        raise PreconditionError("kind must be 'boolean' or 'braid'")
+
+
 def _check_enum_size(kind, dim):
-    if dim < 1:
-        raise PreconditionError("dimension must be at least 1")
-    if kind == "boolean" and dim > BOOLEAN_ENUM_MAX:
-        raise PreconditionError(f"boolean enumeration capped at d={BOOLEAN_ENUM_MAX}")
-    if kind == "braid" and dim > BRAID_ENUM_MAX:
-        raise PreconditionError(f"braid enumeration capped at n={BRAID_ENUM_MAX}")
+    """``dim`` as an int, at least 1 and at most the enumeration cap of ``kind``."""
+    _check_kind(kind)
+    return _as_int(dim, f"{kind} enumeration dimension", 1, _ENUM_MAX[kind])
 
 
 def enumerate_chambers(kind, dim):
@@ -361,7 +363,7 @@ def enumerate_chambers(kind, dim):
     Boolean chambers are ordered with -1 before +1 lexicographically; braid
     chambers are orderings in lexicographic one-line order.
     """
-    _check_enum_size(kind, dim)
+    dim = _check_enum_size(kind, dim)
     chamber = SignVector if kind == "boolean" else Permutation
     return [chamber(row) for row in _chambers_array(kind, dim).tolist()]
 
@@ -371,14 +373,20 @@ def chamber_index(chamber):
     if isinstance(chamber, SignVector):
         if not chamber.is_chamber:
             raise PreconditionError("not a chamber")
-        return int(_boolean_rank_many(np.array(chamber.entries)))
+        return int(_chamber_keys("boolean", chamber.to_array()))
     chamber = as_permutation(chamber)
-    return int(permutation_rank_many(np.array(chamber.mapping))[0])
+    return int(permutation_rank_many(chamber.mapping)[0])
 
 
-def _boolean_rank_many(signs):
-    """Canonical index of each Boolean chamber row (entries +-1, last axis)."""
-    return (signs > 0).astype(np.int64) @ (1 << np.arange(signs.shape[-1] - 1, -1, -1))
+def _chamber_keys(kind, rows):
+    """Integer keys of chamber rows (last axis) that sort as the ``enumerate_chambers`` listing.
+
+    Sign rows read as bits, so a key is the chamber's index; 0-based orders of
+    n labels read as base-n digits.
+    """
+    d = rows.shape[-1]
+    digits, base = (rows > 0, 2) if kind == "boolean" else (rows, d)
+    return digits.astype(np.int64) @ base ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def _chambers_array(kind, dim):
@@ -421,13 +429,13 @@ def transition_matrix(table):
     ent = table.entries_matrix()
     chambers = _chambers_array(table.kind, table.dim)
     if table.kind == "boolean":
-        project, rank = kernels.project_signs, _boolean_rank_many
+        project = kernels.project_signs
     else:
-        # Lehmer ranks only compare labels, so 0-based rows rank like 1-based ones
-        chambers = chambers - 1
-        project, rank = kernels.project_orders, permutation_rank_many
+        chambers = chambers - 1  # 0-based, as project_orders and _chamber_keys read them
+        project = kernels.project_orders
+    listed = _chamber_keys(table.kind, chambers)  # ascending: the chambers are in index order
     for f in range(table.m):
-        ranks[f] = rank(project(chambers, ent[f]))
+        ranks[f] = np.searchsorted(listed, _chamber_keys(table.kind, project(chambers, ent[f])))
     return _FaceKernel(table, ranks)
 
 
@@ -528,8 +536,7 @@ def brown_diaconis_sample_many(table, size, rng):
     Returns a (size, dim) array: sign entries for the boolean kind, 1-based
     one-line orderings for the braid kind.
     """
-    if size < 1:
-        raise PreconditionError("size must be at least 1")
+    size = _as_int(size, "size", 1)
     if (gap := _uncrossed_hyperplane(table)) is not None:
         raise PreconditionError(f"face weights are not separating: no positive-weight face {gap}")
     orders = kernels.weighted_order_many(table.weights, rng.random((size, table.m)))
@@ -580,10 +587,7 @@ def riffle_face_weights(n):
     one-block face (an identity move), which therefore carries their merged
     weight 2^(1-n).
     """
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if n > BOOLEAN_ENUM_MAX:
-        raise PreconditionError(f"riffle table capped at n={BOOLEAN_ENUM_MAX}")
+    n = _as_int(n, "riffle n", 1, BOOLEAN_ENUM_MAX)
     # subset S as a bit mask: labels in S in block 0, the rest in block 1
     rows = 1 - ((np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
     rows[0] = 0  # empty S: the complement is the one block
@@ -596,8 +600,7 @@ def ehrenfest_face_weights(d):
     The 2d faces of length d must not pass ``TABLE_ENTRIES_MAX`` entries
     (d <= 1024).
     """
-    if d < 1:
-        raise PreconditionError("d must be at least 1")
+    d = _as_int(d, "d", 1)
     _check_table_size(2 * d, d)
     rows = np.zeros((2 * d, d), dtype=np.int8)
     rows[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([-1, 1], d)
@@ -608,11 +611,9 @@ def _check_graph(edges):
     cleaned = []
     seen = set()
     for e in edges:
-        u, v = (int(x) for x in e)
+        u, v = _as_ints(e, "1-based vertex", 1)
         if u == v:
             raise PreconditionError(f"self loop at vertex {u}")
-        if u < 1 or v < 1:
-            raise PreconditionError("vertices are 1-based")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise PreconditionError(f"duplicate edge {key}")

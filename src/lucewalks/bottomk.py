@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import _check_labels, _check_tol, as_weight_vector
-from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError
+from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError, _as_int
 
 __all__ = [
     "WeightSequence",
@@ -198,7 +198,7 @@ class WeightSequence:
         for i = 1, 2, ... costs amortised O(1) each, and never past twice the
         largest index asked for.  New weights are checked as they are cached.
         """
-        lo = self._cache.size
+        n, lo = _as_int(n, "n", 0), self._cache.size
         if n > lo:
             hi = max(n, 2 * lo)
             if self._vectorized:
@@ -215,8 +215,7 @@ class WeightSequence:
         return self._cache[:n]
 
     def theta(self, i):
-        if i < 1:
-            raise PreconditionError("indices are 1-based")
+        i = _as_int(i, "index", 1)
         return float(self.thetas(i)[i - 1])
 
     def __repr__(self):
@@ -683,10 +682,9 @@ def sukhatme_last_card_table(max_label, tol=1e-6):
     prod_{j != ell} (1 - y^j) dy; returns [(label, probability)] for
     labels 1..max_label.
     """
-    if max_label < 1:
-        raise PreconditionError("max_label must be at least 1")
+    labels = range(1, _as_int(max_label, "max_label", 1) + 1)
     seq = linear_weights()
-    return [(ell, limit_bottom_pmf(seq, (ell,), tol=tol)) for ell in range(1, max_label + 1)]
+    return [(ell, limit_bottom_pmf(seq, (ell,), tol=tol)) for ell in labels]
 
 
 def finite_n_bottom_pmf(w, a, tol=1e-10):
@@ -725,8 +723,7 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     midpoint of its bracket.  Returns (estimate, stderr).
     """
     a = _check_labels(a, math.inf)
-    if size < 1:
-        raise PreconditionError("size must be at least 1")
+    size = _as_int(size, "size", 1)
     th = np.array([seq.theta(v) for v in a])
     u = rng.random((size, len(a)))
     x = -np.log(u) / th[None, :]

@@ -29,6 +29,7 @@ unexpected exception).
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -387,14 +388,13 @@ def _cmd_arrangement(args, rng):
         start = _parse_chamber(kind, args.start) if args.start else \
             (SignVector([1] * dim) if kind == "boolean" else Permutation.identity(dim))
         chain = ChamberChain(table, start)
-        rows = [chain.current]
-        for _ in range(args.steps):
-            rows.append(walk_step(chain, rng))
+        # each row is printed as the walk makes it, so memory stays flat in --steps
+        walk = itertools.chain([chain.current], (walk_step(chain, rng) for _ in range(args.steps)))
         if args.format == "csv":
-            _emit_csv(["step", "chamber"], [[t, _chamber_text(kind, ch)]
-                                            for t, ch in enumerate(rows)])
+            _emit_csv(["step", "chamber"], ([t, _chamber_text(kind, ch)]
+                                            for t, ch in enumerate(walk)))
             return {}
-        for t, ch in enumerate(rows):
+        for t, ch in enumerate(walk):
             _emit_json({"step": t, "chamber": _chamber_json(kind, ch)})
         return {}
     if args.action == "stationary":

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .exceptions import PreconditionError
+from .exceptions import PreconditionError, _as_int, _as_ints
 from .rng import RngStream
 
 __all__ = [
@@ -96,21 +96,6 @@ class WeightVector:
         return f"WeightVector({self._weights.tolist()!r})"
 
 
-def _as_int(v, what):
-    """``v`` as an int: an int, a numpy integer or an integral float; else PreconditionError."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, (float, np.floating)) and float(v).is_integer():
-        return int(v)
-    raise PreconditionError(f"{what}: {v!r} is not an integer")
-
-
-def _as_ints(values, what):
-    """``values`` as a tuple of ints, each checked by :func:`_as_int`."""
-    vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-    return vals if all(type(v) is int for v in vals) else tuple(_as_int(v, what) for v in vals)
-
-
 class Permutation:
     """A permutation of 1..n in draw order: ``p(j)`` is the j-th label drawn."""
 
@@ -124,7 +109,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls(range(1, _as_int(n, "n", 0) + 1))
 
     @property
     def mapping(self):
@@ -136,9 +121,7 @@ class Permutation:
 
     def __call__(self, j):
         """sigma(j) for 1-based position j."""
-        if not 1 <= j <= len(self._mapping):
-            raise PreconditionError(f"position {j} out of range 1..{len(self._mapping)}")
-        return self._mapping[j - 1]
+        return self._mapping[_as_int(j, "position", 1, len(self._mapping)) - 1]
 
     def inverse(self):
         inv = [0] * len(self._mapping)
@@ -196,14 +179,11 @@ def _check_labels(labels, n, distinct=True):
 
     ``n`` may be ``math.inf`` for the labels of an infinite weight sequence.
     """
-    labels = _as_ints(labels, "label")
+    labels = _as_ints(labels, "label", 1, n)
     if not labels:
         raise PreconditionError("labels must be nonempty")
     if distinct and len(set(labels)) != len(labels):
         raise PreconditionError("labels must be distinct")
-    for v in labels:
-        if not 1 <= v <= n:
-            raise PreconditionError(f"label {v} out of range 1..{n}")
     return labels
 
 
@@ -226,9 +206,7 @@ def restrict(w, subset):
 
 def sukhatme_weights(n, orientation="descending"):
     """Integer weights n..1 (descending) or 1..n (ascending), unnormalized."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
+    n = _as_int(n, "n", 1)
     if orientation == "descending":
         return WeightVector(np.arange(n, 0, -1, dtype=np.float64))
     if orientation == "ascending":
@@ -267,8 +245,7 @@ def sample_urn_many(w, size, rng, method="auto"):
     race, which has exactly the urn's law; the names are kept as aliases.
     """
     w = as_weight_vector(w)
-    if size < 0:
-        raise PreconditionError("size must be nonnegative")
+    size = _as_int(size, "size", 0)
     if method not in ("auto", "scan", "tree"):
         raise PreconditionError(f"unknown method {method!r}")
     if size == 0:
@@ -291,8 +268,7 @@ def sample_exponential_many(w, size, rng):
     clocks, ties broken toward the smaller label.
     """
     w = as_weight_vector(w)
-    if size < 0:
-        raise PreconditionError("size must be nonnegative")
+    size = _as_int(size, "size", 0)
     if size == 0:
         return np.empty((0, w.n), dtype=np.int64)
     return kernels._race_order(w.weights, rng.random((size, w.n))) + 1
@@ -308,10 +284,7 @@ def sample_spacings_many(n, size, rng):
     Row entries are Y_(1), Y_(2)-Y_(1), ..., Y_(n)-Y_(n-1); the j-th spacing
     (1-based) is distributed as Exponential(1)/(n - j + 1).
     """
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if size < 0:
-        raise PreconditionError("size must be nonnegative")
+    n, size = _as_int(n, "n", 1), _as_int(size, "size", 0)
     y = -np.log(rng.random((size, n)))
     y.sort(axis=1)
     return np.diff(y, axis=1, prepend=0.0)
@@ -327,10 +300,7 @@ def sample_spacings(n, rng):
 
 def all_permutations(n):
     """All of S_n in lexicographic order."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if n > 10:
-        raise PreconditionError(f"refusing to enumerate {n}! permutations (n > 10)")
+    n = _as_int(n, "n", 1, 10)
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
@@ -338,12 +308,15 @@ def permutation_rank_many(perms):
     """Lexicographic ranks of an array of 1-based permutation rows.
 
     Vectorized Lehmer encoding; handy for histogramming sampler output
-    against the n! pmf values in ``all_permutations`` order.
+    against the n! pmf values in ``all_permutations`` order.  Each row must
+    hold the integers 1..n; integral floats count.
     """
-    a = np.asarray(perms, dtype=np.int64)
-    if a.ndim == 1:
-        a = a[None, :]
-    n = a.shape[1]
+    a = np.atleast_2d(perms)
+    n = a.shape[-1]
+    if a.ndim != 2 or a.dtype.kind not in "iuf" or \
+            not np.array_equal(np.sort(a, axis=1), np.broadcast_to(np.arange(1, n + 1), a.shape)):
+        raise PreconditionError(f"rows must be permutations of 1..{n}")
+    a = a.astype(np.int64)
     fact = [math.factorial(i) for i in range(n)]
     ranks = np.zeros(a.shape[0], dtype=np.int64)
     for i in range(n - 1):

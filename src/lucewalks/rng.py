@@ -8,7 +8,7 @@ platform, and independent substreams can be split off deterministically.
 
 import numpy as np
 
-from .exceptions import PreconditionError
+from .exceptions import PreconditionError, _as_int
 
 
 def _entropy_seed():
@@ -29,11 +29,11 @@ class RngStream:
     __slots__ = ("seed", "_seed_seq", "_generator")
 
     def __init__(self, seed, _seed_seq=None):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise PreconditionError("seed must be an integer in [0, 2**64)")
-        self.seed = seed
-        self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(seed)
+        try:
+            self.seed = _as_int(seed, "seed", 0, 2**64 - 1)
+        except PreconditionError:
+            raise PreconditionError("seed must be an integer in [0, 2**64)") from None
+        self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(self.seed)
         self._generator = np.random.Generator(np.random.Philox(self._seed_seq))
 
     @property
@@ -54,9 +54,8 @@ class RngStream:
         Children are derived from the parent's seed sequence, so the same
         parent seed always yields the same children, in order.
         """
-        if k < 1:
-            raise PreconditionError("k must be at least 1")
-        return [RngStream(self.seed, _seed_seq=child) for child in self._seed_seq.spawn(k)]
+        children = self._seed_seq.spawn(_as_int(k, "k", 1))
+        return [RngStream(self.seed, _seed_seq=child) for child in children]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_labels, as_weight_vector
-from .exceptions import PreconditionError
+from .exceptions import PreconditionError, _as_int
 
 __all__ = [
     "prefix_prob_p",
@@ -40,18 +40,20 @@ __all__ = [
 NORMALIZATION_TOL = 1e-9
 
 
-def _require_normalized(w):
+def _normalized(w):
+    """``w`` as a WeightVector that must sum to 1 within ``NORMALIZATION_TOL``; never rescaled."""
+    w = as_weight_vector(w)
     if abs(w.total - 1.0) > NORMALIZATION_TOL:
         raise PreconditionError(
             f"weights must sum to 1 within {NORMALIZATION_TOL:g} (got {w.total!r}); "
             "call normalize() explicitly"
         )
+    return w
 
 
 def prefix_prob_p(w, labels):
     """P(first k draws are exactly ``labels``, in order); 0 on repeats."""
-    w = as_weight_vector(w)
-    _require_normalized(w)
+    w = _normalized(w)
     labels = _check_labels(labels, w.n, distinct=False)
     if len(set(labels)) != len(labels):
         return 0.0
@@ -63,8 +65,7 @@ def prefix_prob_p(w, labels):
 
 def prefix_prob_q(w, labels):
     """Q(k independent draws are exactly ``labels``, in order)."""
-    w = as_weight_vector(w)
-    _require_normalized(w)
+    w = _normalized(w)
     labels = _check_labels(labels, w.n, distinct=False)
     return float(np.prod(w.weights[np.asarray(labels) - 1]))
 
@@ -76,10 +77,8 @@ def d_inf_exact(w, k):
     j-th partial sum; the maximizer greedily takes the k-1 heaviest labels
     in decreasing order, which gives the closed form evaluated here.
     """
-    w = as_weight_vector(w)
-    _require_normalized(w)
-    if not 1 <= k <= w.n:
-        raise PreconditionError(f"k must be in 1..{w.n}")
+    w = _normalized(w)
+    k = _as_int(k, "k", 1, w.n)
     if k == 1:
         return 0.0
     heaviest = np.sort(w.weights)[::-1][: k - 1]
@@ -96,10 +95,8 @@ def d_inf_bound(w, k):
     so domination over :func:`d_inf_exact` is guaranteed in that regime
     and can fail outside it (e.g. (0.5, 0.49, 0.01) with k = 3).
     """
-    w = as_weight_vector(w)
-    _require_normalized(w)
-    if not 1 <= k <= w.n:
-        raise PreconditionError(f"k must be in 1..{w.n}")
+    w = _normalized(w)
+    k = _as_int(k, "k", 1, w.n)
     if float(np.max(w.weights)) > 0.5:
         raise PreconditionError("bound requires every weight <= 1/2")
     if k == 1:
@@ -264,8 +261,7 @@ def elementary_symmetric(weights, k):
     """
     arr = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=np.float64)
     n = arr.size
-    if not 0 <= k <= n:
-        raise PreconditionError(f"k must be in 0..{n}")
+    k = _as_int(k, "k", 0, n)
     if k == 0:
         return 1.0
     e_k = _symmetric_recurrence(arr, k, False, np.longdouble if n > 1000 else np.float64)
@@ -293,10 +289,8 @@ def tv_exact(w, k):
     e^-50 and the total variation rounds to 1.0, which is returned without
     running the recurrence.
     """
-    w = as_weight_vector(w)
-    _require_normalized(w)
-    if not 1 <= k <= w.n:
-        raise PreconditionError(f"k must be in 1..{w.n}")
+    w = _normalized(w)
+    k = _as_int(k, "k", 1, w.n)
     if k * (k - 1) >= 100 * w.n:
         return 1.0
     tv = 1.0 - _symmetric_recurrence(w.weights, k, True, np.float64)
@@ -307,19 +301,16 @@ def tv_exact(w, k):
 
 def tv_uniform_exact(n, k):
     """Closed form for equal weights: 1 - n! / ((n-k)! n^k), in log space."""
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must be in 1..{n}")
+    n = _as_int(n, "n", 1)
+    k = _as_int(k, "k", 1, n)
     log_p = sum(math.log1p(-j / n) for j in range(k))
     return -math.expm1(log_p)
 
 
 def collision_lambda(w, k):
     """Expected number of colliding pairs among k independent draws."""
-    w = as_weight_vector(w)
-    _require_normalized(w)
-    if k < 1:
-        raise PreconditionError("k must be at least 1")
-    return math.comb(k, 2) * float(np.sum(w.weights**2))
+    w = _normalized(w)
+    return math.comb(_as_int(k, "k", 1), 2) * float(np.sum(w.weights**2))
 
 
 def tv_poisson_approx(lam):
@@ -331,8 +322,7 @@ def tv_poisson_approx(lam):
 
 def second_card_marginal(w, label):
     """P(second draw is ``label``) = theta_b sum_{i != b} theta_i / (1 - theta_i)."""
-    w = as_weight_vector(w)
-    _require_normalized(w)
+    w = _normalized(w)
     (b,) = _check_labels((label,), w.n)
     th = w.weights
     mask = np.arange(w.n) != b - 1
@@ -377,10 +367,11 @@ class DistanceReport:
 
 def distance_report(w, k):
     """Compute every diagnostic at once (bound precondition applies)."""
-    w = as_weight_vector(w)
+    w = _normalized(w)
+    k = _as_int(k, "k", 1, w.n)
     lam = collision_lambda(w, k)
     return DistanceReport(
-        k=int(k),
+        k=k,
         d_inf_exact=d_inf_exact(w, k),
         d_inf_bound=d_inf_bound(w, k),
         tv_exact=tv_exact(w, k),

@@ -356,6 +356,17 @@ class TestTransitionMatrix:
         # both add the weights in face order, so e_c @ K is the oracle's row c to the bit
         np.testing.assert_array_equal(as_dense(transition_matrix(table)), dense_kernel(table))
 
+    @pytest.mark.parametrize("table", [riffle_face_weights(7),
+                                       tsetlin_face_weights(normalize(np.arange(1.0, 9.0)))],
+                             ids=["riffle7", "tsetlin8"])
+    def test_ranks_are_lehmer_ranks(self, table):
+        # the searched keys rank each projected listing as the Lehmer code does
+        listed = np.array([c.mapping for c in enumerate_chambers("braid", table.dim)]) - 1
+        ranks = transition_matrix(table).ranks
+        for f, face in enumerate(table.entries_matrix()):
+            want = permutation_rank_many(kernels.project_orders(listed, face) + 1)
+            np.testing.assert_array_equal(ranks[f], want)
+
 
 class TestIsSeparating:
     def test_identity_face_only(self):

@@ -1,10 +1,13 @@
 """CLI contract: output formats, exit codes, determinism, manifest sidecar."""
 
+import contextlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -238,6 +241,26 @@ class TestArrangement:
             chamber = doc["chamber"]
             want = chamber if isinstance(chamber, str) else ",".join(map(str, chamber))
             assert row["chamber"] == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sim_memory_flat_in_steps(self, monkeypatch, tmp_path, fmt):
+        # rows are printed as the walk makes them, so ten times the steps adds no memory
+        monkeypatch.chdir(tmp_path)
+
+        def peak(steps):
+            argv = ["arrangement", "sim", "--model", "ehrenfest", "--dim", "3",
+                    "--steps", str(steps), "--seed", "1", "--format", fmt]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # first-use allocations
+        small = peak(1000)
+        assert peak(10000) < small + (1 << 19)  # a walk kept in a list grows 1-2.5 MiB more
 
     def test_stationary_tsetlin_csv(self, run):
         code, out, _ = run("arrangement", "stationary", "--model", "tsetlin",
