@@ -1,77 +1,13 @@
-"""Luce permutation models, top/bottom-of-deck analysis, chamber walks."""
+"""Luce permutation models, top/bottom-of-deck analysis, chamber walks.
+
+The package exports what each module lists in its ``__all__``: that list is
+the one place a public name is declared.
+"""
 
 __version__ = "0.1.0"
 
-from .core import (  # noqa: F401
-    Permutation,
-    RngStream,
-    WeightVector,
-    all_permutations,
-    bruhat_covers,
-    luce_pmf,
-    normalize,
-    permutation_rank_many,
-    restrict,
-    sample_exponential,
-    sample_exponential_many,
-    sample_spacings,
-    sample_spacings_many,
-    sample_urn,
-    sample_urn_many,
-    sukhatme_weights,
-)
-from .exceptions import (  # noqa: F401
-    DefectiveMassWarning,
-    LucewalksError,
-    PreconditionError,
-    ToleranceError,
-)
-from .topk import (  # noqa: F401
-    DistanceReport,
-    collision_lambda,
-    d_inf_bound,
-    d_inf_exact,
-    distance_report,
-    elementary_symmetric,
-    prefix_prob_p,
-    prefix_prob_q,
-    second_card_marginal,
-    tv_exact,
-    tv_poisson_approx,
-    tv_uniform_exact,
-)
-from .bottomk import (  # noqa: F401
-    ConvergenceReport,
-    SEQUENCE_FAMILIES,
-    WeightSequence,
-    constant_weights,
-    convergence_test,
-    f_eval,
-    finite_n_bottom_pmf,
-    limit_bottom_pmf,
-    limit_bottom_pmf_mc,
-    linear_weights,
-    log_loglog_weights,
-    log_weights,
-    sukhatme_last_card_table,
-)
-from .arrangements import (  # noqa: F401
-    BlockOrderedSetPartition,
-    ChamberChain,
-    FaceWeightTable,
-    SignVector,
-    brown_diaconis_sample,
-    brown_diaconis_sample_many,
-    chamber_index,
-    ehrenfest_face_weights,
-    enumerate_chambers,
-    graph_coloring_face_weights,
-    is_separating,
-    project_boolean,
-    project_braid,
-    riffle_face_weights,
-    stationary_exact,
-    transition_matrix,
-    tsetlin_face_weights,
-    walk_step,
-)
+from .core import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .topk import *  # noqa: F401,F403
+from .bottomk import *  # noqa: F401,F403
+from .arrangements import *  # noqa: F401,F403

@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import (Permutation, _check_tol, as_permutation, as_weight_vector,
-                   permutation_rank_many)
+from .core import Permutation, _check_tol, as_weight_vector, permutation_rank_many
 from .exceptions import PreconditionError, ToleranceError, _as_int, _as_ints
 
 __all__ = [
@@ -171,20 +170,47 @@ class BlockOrderedSetPartition:
 
 
 # ---------------------------------------------------------------------------
+# faces and chambers of a kind
+# ---------------------------------------------------------------------------
+
+_CLASSES = {"face": {"boolean": SignVector, "braid": BlockOrderedSetPartition},
+            "chamber": {"boolean": SignVector, "braid": Permutation}}
+
+
+def _as_face(kind, face, dim=None):
+    """``face`` as a face object of ``kind``, of size ``dim`` when given."""
+    return _as_object(kind, "face", face, dim)
+
+
+def _check_chamber(kind, chamber, dim=None):
+    """``chamber`` as a chamber object of ``kind``, of size ``dim`` when given."""
+    chamber = _as_object(kind, "chamber", chamber, dim)
+    if kind == "boolean" and not chamber.is_chamber:
+        raise PreconditionError(f"boolean chamber {chamber!r} has a zero entry")
+    return chamber
+
+
+def _as_object(kind, role, obj, dim):
+    """``obj`` as the ``role`` class of ``kind``; the other kind's objects raise."""
+    cls = _CLASSES[role][kind]
+    if not isinstance(obj, cls):
+        if isinstance(obj, (SignVector, BlockOrderedSetPartition, Permutation)):
+            raise PreconditionError(f"a {kind} {role} cannot be a {type(obj).__name__}")
+        obj = cls(obj)
+    size = obj.d if kind == "boolean" else obj.n
+    if dim is not None and size != dim:
+        raise PreconditionError(f"{kind} {role} {obj!r} has size {size}, not {dim}")
+    return obj
+
+
+# ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
 def project_boolean(c, f):
     """Project chamber ``c`` onto face ``f``: f's entry wins where nonzero."""
-    if not isinstance(c, SignVector):
-        c = SignVector(c)
-    if not isinstance(f, SignVector):
-        f = SignVector(f)
-    if c.d != f.d:
-        raise PreconditionError(f"dimension mismatch: {c.d} vs {f.d}")
-    if not c.is_chamber:
-        raise PreconditionError("c must be a chamber (no zero entries)")
-    return _project_row("boolean", c, f.entries)
+    f = _as_face("boolean", f)
+    return _project_row("boolean", _check_chamber("boolean", c, f.d), f.entries)
 
 
 def project_braid(c, f):
@@ -193,12 +219,8 @@ def project_braid(c, f):
     Lists f's blocks in order; within each block, labels keep the relative
     order they held in c.
     """
-    c = as_permutation(c)
-    if not isinstance(f, BlockOrderedSetPartition):
-        f = BlockOrderedSetPartition(f)
-    if c.n != f.n:
-        raise PreconditionError(f"size mismatch: {c.n} vs {f.n}")
-    return _project_row("braid", c, f.block_ids().tolist())
+    f = _as_face("braid", f)
+    return _project_row("braid", _check_chamber("braid", c, f.n), f.block_ids().tolist())
 
 
 def _project_row(kind, chamber, row):
@@ -227,20 +249,14 @@ class FaceWeightTable:
     face objects from the rows on each call.
     """
 
-    __slots__ = ("kind", "dim", "weights", "_entries")
+    __slots__ = ("kind", "dim", "weights", "_entries", "_cumulative")
 
     def __init__(self, kind, dim, pairs):
         _check_kind(kind)
         dim = _as_int(dim, "dimension", 1)
-        face_cls = SignVector if kind == "boolean" else BlockOrderedSetPartition
         rows, weights = [], []
         for face, weight in pairs.items() if isinstance(pairs, dict) else pairs:
-            if not isinstance(face, face_cls):
-                if isinstance(face, (SignVector, BlockOrderedSetPartition)):
-                    raise PreconditionError(f"{kind} table cannot hold {type(face).__name__} faces")
-                face = face_cls(face)
-            if (face.d if kind == "boolean" else face.n) != dim:
-                raise PreconditionError(f"face {face!r} has wrong dimension")
+            face = _as_face(kind, face, dim)
             weight = float(weight)
             if weight < 0.0 or not math.isfinite(weight):
                 raise PreconditionError("face weights must be finite and nonnegative")
@@ -270,10 +286,10 @@ class FaceWeightTable:
         if not kept.any():
             raise PreconditionError("need at least one positive-weight face")
         self.kind, self.dim = kind, dim
-        self._entries = rows[first][kept]
-        self._entries.flags.writeable = False
-        self.weights = merged[kept]
-        self.weights.flags.writeable = False
+        self._entries, self.weights = rows[first][kept], merged[kept]
+        self._cumulative = np.cumsum(self.weights)  # searched by each walk step
+        for a in (self._entries, self.weights, self._cumulative):
+            a.flags.writeable = False
         return self
 
     @property
@@ -291,7 +307,7 @@ class FaceWeightTable:
 
     def weight_of(self, face):
         """The weight of ``face``: 0.0 when the table holds no such face."""
-        if not isinstance(face, SignVector if self.kind == "boolean" else BlockOrderedSetPartition):
+        if not isinstance(face, _CLASSES["face"][self.kind]):
             return 0.0
         row = np.asarray(face.entries if self.kind == "boolean" else face.block_ids())
         hit = self.weights[(self._entries == row).all(axis=1)] if row.size == self.dim else ()
@@ -312,25 +328,11 @@ class ChamberChain:
 
     def __init__(self, face_table, start):
         self.face_table = face_table
-        self.current = _check_chamber(face_table.kind, face_table.dim, start)
-
-
-def _check_chamber(kind, dim, chamber):
-    if kind == "boolean":
-        if not isinstance(chamber, SignVector):
-            chamber = SignVector(chamber)
-        if chamber.d != dim or not chamber.is_chamber:
-            raise PreconditionError("start must be a chamber of the arrangement")
-        return chamber
-    chamber = as_permutation(chamber)
-    if chamber.n != dim:
-        raise PreconditionError("start must be an ordering of the right size")
-    return chamber
+        self.current = _check_chamber(face_table.kind, start, face_table.dim)
 
 
 def _draw_face_index(table, rng):
-    cum = np.cumsum(table.weights)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    idx = int(np.searchsorted(table._cumulative, rng.random(), side="right"))
     return min(idx, table.m - 1)
 
 
@@ -363,19 +365,15 @@ def enumerate_chambers(kind, dim):
     Boolean chambers are ordered with -1 before +1 lexicographically; braid
     chambers are orderings in lexicographic one-line order.
     """
-    dim = _check_enum_size(kind, dim)
-    chamber = SignVector if kind == "boolean" else Permutation
+    dim, chamber = _check_enum_size(kind, dim), _CLASSES["chamber"][kind]
     return [chamber(row) for row in _chambers_array(kind, dim).tolist()]
 
 
 def chamber_index(chamber):
     """Index of a chamber in its ``enumerate_chambers`` listing."""
     if isinstance(chamber, SignVector):
-        if not chamber.is_chamber:
-            raise PreconditionError("not a chamber")
-        return int(_chamber_keys("boolean", chamber.to_array()))
-    chamber = as_permutation(chamber)
-    return int(permutation_rank_many(chamber.mapping)[0])
+        return int(_chamber_keys("boolean", _check_chamber("boolean", chamber).to_array()))
+    return int(permutation_rank_many(_check_chamber("braid", chamber).mapping)[0])
 
 
 def _chamber_keys(kind, rows):
@@ -547,10 +545,7 @@ def brown_diaconis_sample_many(table, size, rng):
 
 def brown_diaconis_sample(table, rng):
     """One exact stationary chamber (see :func:`brown_diaconis_sample_many`)."""
-    row = brown_diaconis_sample_many(table, 1, rng)[0]
-    if table.kind == "boolean":
-        return SignVector(row)
-    return Permutation(row)
+    return _CLASSES["chamber"][table.kind](brown_diaconis_sample_many(table, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

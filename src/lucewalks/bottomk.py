@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import _check_labels, _check_tol, as_weight_vector
+from .core import _check_labels, _check_tol, as_weight_vector, luce_pmf
 from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError, _as_int
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
 LOG_PRODUCT_FLOOR = -700.0  # survival products below e^-700 are flushed to zero
 _HEAD_START = 32  # least head of the survival sum; the head doubles from here
 _TERMS_MAX = 1 << 21
+_LABEL_MAX = _TERMS_MAX // 2  # the survival head starts at twice the largest label
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21, Piessens et al. 1983):
@@ -651,12 +652,12 @@ def limit_bottom_pmf(seq, a, tol=1e-8):
     """Limiting probability that the bottom cards read a_1, ..., a_k.
 
     a_1 is the very bottom card (last drawn), a_2 the one above it, and so
-    on.  In the defective regime the value is still computed but a
-    :class:`DefectiveMassWarning` is emitted because the probabilities over
-    all prefixes then sum to less than one.
+    on, each at most 2^20.  In the defective regime the value is still
+    computed but a :class:`DefectiveMassWarning` is emitted because the
+    probabilities over all prefixes then sum to less than one.
     """
     _check_tol(tol)
-    a = _check_labels(a, math.inf)
+    a = _check_labels(a, _LABEL_MAX)
     exclude = frozenset(a)
     theta_a = [seq.theta(v) for v in a]
     rel = min(1e-9, max(0.01 * tol, 1e-14))
@@ -701,9 +702,8 @@ def finite_n_bottom_pmf(w, a, tol=1e-10):
     idx = np.asarray(a) - 1
     theta_a = w.weights[idx]
     others = np.delete(w.weights, idx)
-    if others.size == 0:
-        t_partial = np.cumsum(theta_a)
-        return float(np.prod(theta_a / t_partial))
+    if others.size == 0:  # a lists the whole deck, bottom first
+        return luce_pmf(w, a[::-1])
 
     def ln_surv(x):
         v = _head_log_survival(x, others)
@@ -720,9 +720,10 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     labels at the smallest clock, and averages.  The survival product of
     every ordered sample comes from one vectorized call of the certified
     log-survival bracket, tail included; each sample is weighted by the
-    midpoint of its bracket.  Returns (estimate, stderr).
+    midpoint of its bracket.  Labels are at most 2^20, as in
+    :func:`limit_bottom_pmf`.  Returns (estimate, stderr).
     """
-    a = _check_labels(a, math.inf)
+    a = _check_labels(a, _LABEL_MAX)
     size = _as_int(size, "size", 1)
     th = np.array([seq.theta(v) for v in a])
     u = rng.random((size, len(a)))

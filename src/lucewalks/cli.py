@@ -46,8 +46,8 @@ from .arrangements import (ChamberChain, Permutation, SignVector,
                            riffle_face_weights, stationary_exact, transition_matrix,
                            tsetlin_face_weights, walk_step)
 from .bottomk import SEQUENCE_FAMILIES, convergence_test, limit_bottom_pmf
-from .core import (WeightVector, _as_int, _check_tol, luce_pmf, normalize,
-                   sample_exponential_many, sample_urn_many, sukhatme_weights)
+from .core import (WeightVector, _as_int, _check_tol, luce_pmf, normalize, sample_urn_many,
+                   sukhatme_weights)
 from .exceptions import DefectiveMassWarning, LucewalksError, PreconditionError, \
     ToleranceError
 from .rng import RngStream, _entropy_seed
@@ -265,10 +265,7 @@ def _cmd_sample(args, rng):
         raise PreconditionError("--n-samples must be nonnegative")
     if args.n_samples == 0:
         return {}
-    if args.method == "urn":
-        samples = sample_urn_many(w, args.n_samples, rng)
-    else:
-        samples = sample_exponential_many(w, args.n_samples, rng)
+    samples = sample_urn_many(w, args.n_samples, rng)  # each --method draws the same race
     if args.format == "json":
         _emit_json({"method": args.method, "n": w.n,
                     "samples": [list(map(int, row)) for row in samples]})

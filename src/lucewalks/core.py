@@ -29,8 +29,6 @@ __all__ = [
     "WeightVector",
     "Permutation",
     "RngStream",
-    "as_weight_vector",
-    "as_permutation",
     "luce_pmf",
     "normalize",
     "restrict",
@@ -175,10 +173,7 @@ def normalize(w):
 
 
 def _check_labels(labels, n, distinct=True):
-    """``labels`` as a nonempty tuple of ints in 1..n, distinct unless ``distinct`` is false.
-
-    ``n`` may be ``math.inf`` for the labels of an infinite weight sequence.
-    """
+    """``labels`` as a nonempty tuple of ints in 1..n, distinct unless ``distinct`` is false."""
     labels = _as_ints(labels, "label", 1, n)
     if not labels:
         raise PreconditionError("labels must be nonempty")

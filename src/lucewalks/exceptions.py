@@ -7,6 +7,8 @@ exception, ``MemoryError`` included, exits with 4.
 
 import numpy as np
 
+__all__ = ["LucewalksError", "PreconditionError", "ToleranceError", "DefectiveMassWarning"]
+
 
 class LucewalksError(Exception):
     """Base class for errors raised by this package."""

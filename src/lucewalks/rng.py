@@ -8,12 +8,21 @@ platform, and independent substreams can be split off deterministically.
 
 import numpy as np
 
-from .exceptions import PreconditionError, _as_int
+from .exceptions import PreconditionError, _as_int, _as_ints
 
 
 def _entropy_seed():
     """A fresh seed in [0, 2**64) from operating-system entropy, for runs given none."""
     return int(np.random.SeedSequence().entropy % (1 << 64))
+
+
+def _as_size(size):
+    """An array ``size``: None (one variate), a count, or a tuple or list of counts."""
+    if size is None:
+        return None
+    if isinstance(size, (tuple, list)):
+        return _as_ints(size, "size", 0)
+    return _as_int(size, "size", 0)
 
 
 class RngStream:
@@ -42,11 +51,11 @@ class RngStream:
         return self._generator
 
     def random(self, size=None):
-        """Uniform variates on [0, 1)."""
-        return self._generator.random(size)
+        """Uniform variates on [0, 1): one float, or an array of shape ``size``."""
+        return self._generator.random(_as_size(size))
 
     def integers(self, low, high=None, size=None):
-        return self._generator.integers(low, high=high, size=size)
+        return self._generator.integers(low, high=high, size=_as_size(size))
 
     def split(self, k):
         """Return ``k`` independent child streams.

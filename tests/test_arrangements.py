@@ -1034,3 +1034,29 @@ class TestInputChecks:
     def test_raises(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+
+
+# each entry point that takes a face or a chamber, and the other kind's objects for it;
+# in dimension 1 the parent read Permutation((1,)) as the sign vector '+'
+_SIGNS, _BLOCKS, _ORDER = SignVector((1, 1)), BlockOrderedSetPartition([[2], [1]]), Permutation((2, 1))
+_BRAID_1 = (BlockOrderedSetPartition([[1]]), Permutation((1,)))
+WRONG_KIND = [
+    ("project_boolean.face", lambda x: project_boolean((1, 1), x), (_BLOCKS, _ORDER)),
+    ("project_boolean.chamber", lambda x: project_boolean(x, (0,)), _BRAID_1),
+    ("project_braid.face", lambda x: project_braid((1, 2), x), (_SIGNS, _ORDER)),
+    ("project_braid.chamber", lambda x: project_braid(x, [[1], [2]]), (_SIGNS, _BLOCKS)),
+    ("FaceWeightTable.boolean", lambda x: FaceWeightTable("boolean", 1, {x: 1.0}), _BRAID_1),
+    ("FaceWeightTable.braid", lambda x: FaceWeightTable("braid", 2, {x: 1.0}), (_SIGNS, _ORDER)),
+    ("ChamberChain.boolean", lambda x: ChamberChain(ehrenfest_face_weights(1), x), _BRAID_1),
+    ("ChamberChain.braid", lambda x: ChamberChain(riffle_face_weights(2), x), (_SIGNS, _BLOCKS)),
+    ("chamber_index", chamber_index, (_BLOCKS,)),
+]
+
+
+@pytest.mark.parametrize("call, obj", [(call, obj) for _, call, objs in WRONG_KIND for obj in objs],
+                         ids=[f"{name}-{type(obj).__name__}"
+                              for name, _, objs in WRONG_KIND for obj in objs])
+def test_wrong_kind_refused(call, obj):
+    with pytest.raises(PreconditionError, match=f"cannot be a {type(obj).__name__}"):
+        call(obj)

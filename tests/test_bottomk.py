@@ -557,6 +557,14 @@ class TestFiniteN:
             got = finite_n_bottom_pmf(w, a)
             assert got == pytest.approx(luce_pmf(w, tuple(reversed(a))), abs=1e-12)
 
+    def test_full_deck_every_order(self, np_rng):
+        # the 873 orders of n <= 6: the whole deck is the reversed draw order
+        for n in range(1, 7):
+            w = np_rng.uniform(0.5, 3.0, size=n)
+            for a in itertools.permutations(range(1, n + 1)):
+                want = luce_pmf(w, a[::-1])
+                assert finite_n_bottom_pmf(w, a) == pytest.approx(want, rel=1e-15, abs=0.0), a
+
     @pytest.mark.parametrize("w", [[1e-6, 1.0, 1.0], [1.0, 1e6, 1e6], [1e-6, 1.0, 2.0, 3.0],
                                    [1.0, 2.0, 1e5], [1e-3, 1.0, 1e3, 1e6]], ids=str)
     def test_weights_decades_apart(self, w):
@@ -747,6 +755,23 @@ class TestMonteCarloCrossCheck:
             limit_bottom_pmf_mc(linear_weights(), (1, 1), 100, RngStream(0))
         with pytest.raises(PreconditionError):
             limit_bottom_pmf_mc(linear_weights(), (1,), 0, RngStream(0))
+
+
+class TestLabelBound:
+    """Labels of an infinite sequence stop at 2^20, where the survival head reaches its cap."""
+
+    CALLS = [lambda a: limit_bottom_pmf(linear_weights(), a),
+             lambda a: limit_bottom_pmf_mc(linear_weights(), a, 10, RngStream(0))[0]]
+
+    @pytest.mark.parametrize("label", [10**12, 2**20 + 1], ids=["1e12", "2^20+1"])
+    @pytest.mark.parametrize("call", CALLS, ids=["limit", "mc"])
+    def test_refused(self, call, label):
+        with pytest.raises(PreconditionError, match="at most 1048576"):
+            call((label,))
+
+    @pytest.mark.parametrize("call", CALLS, ids=["limit", "mc"])
+    def test_largest_returns(self, call):
+        assert 0.0 <= call((2**20,)) <= 1.0
 
 
 class TestToleranceChecks:

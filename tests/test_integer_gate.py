@@ -54,6 +54,10 @@ W4 = [0.4, 0.3, 0.2, 0.1]
 GATED = [
     ("rng.seed", lambda v: RngStream(v).random(3), 2),
     ("rng.split", lambda v: [c.random(2) for c in RngStream(1).split(v)], 2),
+    ("rng.random_size", lambda v: RngStream(1).random(v), 2),
+    ("rng.random_shape", lambda v: RngStream(1).random((2, v)), 2),
+    ("rng.integers_size", lambda v: RngStream(1).integers(0, 5, size=v), 2),
+    ("rng.integers_shape", lambda v: RngStream(1).integers(0, 5, size=[v, 2]), 2),
     ("core.identity", lambda v: Permutation.identity(v), 2),
     ("core.position", lambda v: Permutation((2, 1, 3))(v), 2),
     ("core.permutation_entry", lambda v: Permutation((v, 1, 3)), 2),
@@ -122,6 +126,14 @@ def test_refused(call, good, bad):
 def test_integral_float_accepted(call, good):
     assert _plain(call(float(good))) == _plain(call(good))
     assert _plain(call(np.int64(good))) == _plain(call(good))
+
+
+@pytest.mark.parametrize("size", [-1, (2, -1)], ids=["count", "shape"])
+def test_negative_rng_size_refused(size):
+    with pytest.raises(PreconditionError, match="at least 0"):
+        RngStream(1).random(size)
+    with pytest.raises(PreconditionError, match="at least 0"):
+        RngStream(1).integers(0, 5, size=size)
 
 
 def test_unknown_kind_refused():
