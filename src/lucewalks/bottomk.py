@@ -40,6 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import kernels
 from .core import _check_labels, _check_tol, as_weight_vector, luce_pmf
 from .exceptions import DefectiveMassWarning, PreconditionError, ToleranceError, _as_int
 
@@ -278,7 +279,6 @@ _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_T))
 _DE_WEIGHTS = _DE_NODES * np.cosh(_DE_T) * (0.5 * np.pi / 32.0)
 _DE_LOG1P = np.log1p(_DE_NODES)
 
-_HEAD_BLOCK = 1 << 18  # (node, term) pairs summed per numpy call
 _FIRST_ORDERS = np.arange(1.0, 5.0)  # orders 1..3 of the log-survival tail, and the fold's 4
 
 
@@ -287,13 +287,13 @@ def _loglog_tail_integral(y, a):
 
     With u = a^(1+w) it equals a^(1-y) log(a)^(1-2y) times
     integral_0^inf e^{-(y-1) log(a) w} (1+w)^(-2y) dw, summed over the
-    exp-sinh nodes in blocks of at most _HEAD_BLOCK (entry, node) pairs.
+    exp-sinh nodes in blocks of at most kernels._CHUNK_CELLS (entry, node) pairs.
     """
     y = np.asarray(y, dtype=np.float64)
     la = np.log(np.asarray(a, dtype=np.float64))
     flat = y.reshape(-1)
     out = np.empty(flat.shape)
-    step = _HEAD_BLOCK // _DE_NODES.size
+    step = kernels._CHUNK_CELLS // _DE_NODES.size
     for j in range(0, flat.size, step):
         b = flat[j:j + step]
         integrand = np.exp((1.0 - b[:, None]) * la * _DE_NODES - 2.0 * b[:, None] * _DE_LOG1P)
@@ -344,9 +344,9 @@ def _exp_sum_tail(seq, n_terms, x, lower=True):
 def _order_block(seq, n_terms, x, r, m):
     """Orders m[:-1] of sum_m S(m x) / m, bracketed, and the fold of the orders from m[-1] on.
 
-    Rows of x go through in blocks of at most _HEAD_BLOCK (node, order) pairs.
+    Rows of x go through in blocks of at most kernels._CHUNK_CELLS (node, order) pairs.
     """
-    step = max(1, _HEAD_BLOCK // m.size)
+    step = max(1, kernels._CHUNK_CELLS // m.size)
     w = 1.0 / m[:-1]
     out = np.empty((3, x.size))
     for j in range(0, x.size, step):
@@ -380,24 +380,21 @@ def _tail_log_survival(seq, n_terms, x):
     m = _FIRST_ORDERS
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_mag, hi_mag, fold = _order_block(seq, n_terms, x, r, m)
-        more = _needs_orders(lo_mag, hi_mag, fold)
-        if more.any():
-            live = np.flatnonzero(more)
-            while live.size and m[-1] < 1 << 16:
-                m = np.arange(m[-1], 4.0 * m[-1] + 1.0)
-                d_lo, d_hi, fold[live] = _order_block(seq, n_terms, x[live], r[live], m)
-                lo_mag[live] += d_lo
-                hi_mag[live] += d_hi
-                live = live[_needs_orders(lo_mag[live], hi_mag[live], fold[live])]
+        live = np.flatnonzero(_needs_orders(lo_mag, hi_mag, fold))
+        while live.size and m[-1] < 1 << 16:
+            m = np.arange(m[-1], 4.0 * m[-1] + 1.0)
+            d_lo, d_hi, fold[live] = _order_block(seq, n_terms, x[live], r[live], m)
+            lo_mag[live] += d_lo
+            hi_mag[live] += d_hi
+            live = live[_needs_orders(lo_mag[live], hi_mag[live], fold[live])]
     lo, hi = -(hi_mag + fold), -lo_mag
-    if np.isinf(lo).any():
-        lo[np.isinf(lo) & (hi == 0.0) & (r < 1e-18)] = 0.0
+    lo[np.isinf(lo) & (hi == 0.0) & (r < 1e-18)] = 0.0
     return lo, hi
 
 
 def _head_log_survival(x, th):
-    """sum_j log(1 - e^{-th_j x}) for each entry of x, in blocks of bounded size."""
-    step = max(1, _HEAD_BLOCK // max(x.size, 1))
+    """sum_j log(1 - e^{-th_j x}) per entry of x, kernels._CHUNK_CELLS (node, term) pairs a call."""
+    step = max(1, kernels._CHUNK_CELLS // max(x.size, 1))
     with np.errstate(divide="ignore"):
         return sum(np.log1p(-np.exp(-np.outer(x, th[j:j + step]))).sum(axis=1)
                    for j in range(0, th.size, step))
@@ -460,14 +457,17 @@ def _condensation_finite(seq, x):
 def f_eval(seq, x, tol=1e-10):
     """sum_i exp(-theta_i x) within additive ``tol``; inf when divergent.
 
-    Without a finite tail bracket the sum is inf when :func:`_condensation_finite`
-    says so, else certified once its windows shrink geometrically, else
+    A custom sequence without ``tail_bound`` gives inf when
+    :func:`_condensation_finite` says so.  Without a finite tail bracket the
+    sum is certified once its windows shrink geometrically, else
     ``ToleranceError`` after 2^21 terms.
     """
     _check_tol(tol)
     x = float(x)
     if x <= 0.0:
         raise PreconditionError("x must be positive (the sum is infinite at x <= 0)")
+    if seq.family is None and seq.tail_bound is None and not _condensation_finite(seq, x):
+        return math.inf
     n = 64
     partial = 0.0
     done = 0
@@ -482,14 +482,12 @@ def f_eval(seq, x, tol=1e-10):
             return math.inf
         if hi - lo <= tol:
             return partial + 0.5 * (lo + hi)
-        if hi == math.inf and prev_window is not None:
-            if window <= tol / 4.0 and window < 0.5 * prev_window:
-                q = window / prev_window
-                est = window * q / (1.0 - q)
-                if est <= tol:
-                    return partial + 0.5 * est
-            if not _condensation_finite(seq, x):
-                return math.inf
+        if hi == math.inf and prev_window is not None and window <= tol / 4.0 \
+                and window < 0.5 * prev_window:
+            q = window / prev_window
+            est = window * q / (1.0 - q)
+            if est <= tol:
+                return partial + 0.5 * est
         prev_window = window
         if n >= _TERMS_MAX:
             raise ToleranceError(f"f_eval could not certify tolerance {tol:g} at x={x:g}")
@@ -613,7 +611,7 @@ def _telescoped_integral(theta_a, outside, log_survival_bracket, tol, x0=0.0):
     """
     th = np.asarray(theta_a, dtype=np.float64)
     t_partial = np.cumsum(th)
-    prefactor = float(np.prod(th[1:-1] / t_partial[1:-1])) if th.size > 2 else 1.0
+    prefactor = float(np.prod(th[1:-1] / t_partial[1:-1]))
     t_k = float(t_partial[-1])
     u = min(t_k, max(min(float(th.min()), float(outside[0])), t_k / 64.0))
     power = t_k / u - 1.0
@@ -728,7 +726,7 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     th = np.array([seq.theta(v) for v in a])
     u = rng.random((size, len(a)))
     x = -np.log(u) / th[None, :]
-    ordered = np.all(x[:, :-1] > x[:, 1:], axis=1) if len(a) > 1 else np.ones(size, dtype=bool)
+    ordered = np.all(x[:, :-1] > x[:, 1:], axis=1)
     lo, hi = _log_survival_bracket(seq, x[ordered, -1], frozenset(a), 1e-9)
     weight = np.zeros(size)
     weight[ordered] = np.exp(0.5 * (lo + hi))

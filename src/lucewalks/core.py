@@ -232,6 +232,13 @@ def bruhat_covers(sigma):
 # samplers
 # ---------------------------------------------------------------------------
 
+def _race_rows(w, size, rng, order):
+    """``size`` rows of 1-based draw orders: ``order`` of the weights and a uniform per cell."""
+    w = as_weight_vector(w)
+    size = _as_int(size, "size", 0)
+    return order(w.weights, rng.random((size, w.n))) + 1
+
+
 def sample_urn_many(w, size, rng, method="auto"):
     """Draw ``size`` independent permutations by sequential urn draws.
 
@@ -239,16 +246,10 @@ def sample_urn_many(w, size, rng, method="auto"):
     Every ``method`` (``auto``, ``scan`` or ``tree``) runs the exponential
     race, which has exactly the urn's law; the names are kept as aliases.
     """
-    w = as_weight_vector(w)
-    size = _as_int(size, "size", 0)
     if method not in ("auto", "scan", "tree"):
         raise PreconditionError(f"unknown method {method!r}")
-    if size == 0:
-        return np.empty((0, w.n), dtype=np.int64)
-    uniforms = rng.random((size, w.n))
-    if method == "tree":
-        return kernels._race_order(w.weights, uniforms) + 1
-    return kernels.weighted_order_many(w.weights, uniforms) + 1
+    order = kernels._race_order if method == "tree" else kernels.weighted_order_many
+    return _race_rows(w, size, rng, order)
 
 
 def sample_urn(w, rng):
@@ -262,11 +263,7 @@ def sample_exponential_many(w, size, rng):
     X_i = -log(U_i) / theta_i; the draw order is the ascending sort of the
     clocks, ties broken toward the smaller label.
     """
-    w = as_weight_vector(w)
-    size = _as_int(size, "size", 0)
-    if size == 0:
-        return np.empty((0, w.n), dtype=np.int64)
-    return kernels._race_order(w.weights, rng.random((size, w.n))) + 1
+    return _race_rows(w, size, rng, kernels._race_order)
 
 
 def sample_exponential(w, rng):
@@ -304,10 +301,10 @@ def permutation_rank_many(perms):
 
     Vectorized Lehmer encoding; handy for histogramming sampler output
     against the n! pmf values in ``all_permutations`` order.  Each row must
-    hold the integers 1..n; integral floats count.
+    hold the integers 1..n, n at most 20; integral floats count.
     """
     a = np.atleast_2d(perms)
-    n = a.shape[-1]
+    n = _as_int(a.shape[-1], "permutation length", 0, 20)  # 21! passes int64
     if a.ndim != 2 or a.dtype.kind not in "iuf" or \
             not np.array_equal(np.sort(a, axis=1), np.broadcast_to(np.arange(1, n + 1), a.shape)):
         raise PreconditionError(f"rows must be permutations of 1..{n}")

@@ -47,8 +47,11 @@ def _as_int(v, what, lo=None, hi=None):
 
 
 def _as_ints(values, what, lo=None, hi=None):
-    """``values`` as a tuple of ints, each checked by :func:`_as_int`."""
-    vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    """``values`` as a tuple of ints, each checked by :func:`_as_int`; a non-sequence raises."""
+    try:
+        vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    except TypeError:
+        raise PreconditionError(f"{what}: {values!r} is not a sequence") from None
     if not all(type(v) is int for v in vals):
         vals = tuple(_as_int(v, what) for v in vals)
     if vals and (lo, hi) != (None, None):

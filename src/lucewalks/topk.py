@@ -59,8 +59,7 @@ def prefix_prob_p(w, labels):
         return 0.0
     th = w.weights[np.asarray(labels) - 1]
     partial = np.cumsum(th)
-    denom = np.prod(1.0 - partial[:-1]) if len(labels) > 1 else 1.0
-    return float(np.prod(th) / denom)
+    return float(np.prod(th) / np.prod(1.0 - partial[:-1]))
 
 
 def prefix_prob_q(w, labels):
@@ -79,8 +78,6 @@ def d_inf_exact(w, k):
     """
     w = _normalized(w)
     k = _as_int(k, "k", 1, w.n)
-    if k == 1:
-        return 0.0
     heaviest = np.sort(w.weights)[::-1][: k - 1]
     partial = np.cumsum(heaviest)
     return 1.0 - float(np.prod(1.0 - partial))
@@ -99,8 +96,6 @@ def d_inf_bound(w, k):
     k = _as_int(k, "k", 1, w.n)
     if float(np.max(w.weights)) > 0.5:
         raise PreconditionError("bound requires every weight <= 1/2")
-    if k == 1:
-        return 0.0
     heaviest = np.sort(w.weights)[::-1][: k - 1]
     coeffs = np.arange(k - 1, 0, -1, dtype=np.float64)
     s = float(np.dot(coeffs, heaviest))

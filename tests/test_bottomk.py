@@ -29,7 +29,7 @@ from lucewalks import (
     luce_pmf,
     sukhatme_last_card_table,
 )
-from lucewalks import bottomk
+from lucewalks import bottomk, kernels
 from lucewalks.bottomk import SEQUENCE_FAMILIES, _logsumexp
 
 # the ten last-card probabilities for theta_i = i, frozen reference values
@@ -365,6 +365,12 @@ class TestSeriesEvaluationTheorem:
         with pytest.raises(ToleranceError):
             f_eval(seq, 0.7)
         assert abs(f_eval(seq, 2.0) - (zeta(3.0) - 1.0)) <= 1e-10
+
+    def test_custom_without_bound_capped_diverges(self):
+        # every term past i = 50 is e^-50, so the sum diverges, though its
+        # second window is already small enough for the window extrapolation
+        seq = WeightSequence(lambda i: min(float(i), 50.0), monotone=True)
+        assert f_eval(seq, 1.0) == math.inf
 
 
 class TheoremConvergenceCriterion:
@@ -906,7 +912,7 @@ class TestGaussKronrodRule:
 class TestWideRounds:
     """A full 300-panel round, 6300 nodes, goes through the survival bracket in bounded blocks."""
 
-    # one block is _HEAD_BLOCK float64 cells; the head sum and each order block
+    # one block is kernels._CHUNK_CELLS float64 cells; the head sum and each order block
     # hold a few temporaries of that size at once
     BLOCKS = 6
 
@@ -925,26 +931,26 @@ class TestWideRounds:
         finally:
             tracemalloc.stop()
         assert np.all(lo <= hi)
-        assert peak <= self.BLOCKS * 8 * bottomk._HEAD_BLOCK, peak / (8 * bottomk._HEAD_BLOCK)
+        assert peak <= self.BLOCKS * 8 * kernels._CHUNK_CELLS, peak / (8 * kernels._CHUNK_CELLS)
 
-    @pytest.mark.parametrize("head_block", [1 << 18, 1 << 10])
+    @pytest.mark.parametrize("chunk_cells", [1 << 18, 1 << 10])
     @pytest.mark.parametrize("factory,x0", [(lambda: log_weights(1.05), 1.0 / 1.05),
                                             (linear_weights, 0.0),
                                             (log_loglog_weights, 1.0)],
                              ids=["log1.05", "linear", "log-loglog"])
-    def test_blocks_and_fold_leave_values_unchanged(self, monkeypatch, factory, x0, head_block):
+    def test_blocks_and_fold_leave_values_unchanged(self, monkeypatch, factory, x0, chunk_cells):
         # the orders of all nodes in one block, upper and lower bound of every column,
         # bit for bit against the blocked call that skips the fold's lower bound
         seq = factory()
         x = x0 + np.geomspace(1e-3, 2.0, 500)
         r = np.exp(-seq.theta(32) * x)
         m = np.arange(4.0, 17.0)
-        monkeypatch.setattr(bottomk, "_HEAD_BLOCK", 1 << 40)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 1 << 40)
         s_lo, s_hi = bottomk._exp_sum_tail(seq, 31, x[:, None] * m)
         w = 1.0 / m[:-1]
         want = (np.einsum("ij,j->i", s_lo[:, :-1], w), np.einsum("ij,j->i", s_hi[:, :-1], w),
                 s_hi[:, -1] / (m[-1] * (1.0 - r)))
-        monkeypatch.setattr(bottomk, "_HEAD_BLOCK", head_block)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", chunk_cells)
         got = bottomk._order_block(seq, 31, x, r, m)
         for g, e in zip(got, want):
             np.testing.assert_array_equal(g, e)

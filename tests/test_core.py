@@ -293,8 +293,12 @@ class TestSamplers:
         np.testing.assert_array_equal(out, np.ones((5, 1), dtype=out.dtype))
 
     def test_size_zero(self, rng):
-        assert sample_urn_many([1.0, 2.0], 0, rng).shape == (0, 2)
-        assert sample_exponential_many([1.0, 2.0], 0, rng).shape == (0, 2)
+        # empty int64 rows from the stable sort (n <= 8) and from the repaired one
+        for n in (1, 2, 8, 9, 40):
+            w = np.arange(1.0, n + 1.0)
+            for out in [sample_urn_many(w, 0, rng, method=m) for m in ("auto", "scan", "tree")] \
+                    + [sample_exponential_many(w, 0, rng)]:
+                assert out.shape == (0, n) and out.dtype == np.int64
 
     def test_two_item_frequency(self):
         # P(first draw is 1) = 3/4
@@ -426,6 +430,15 @@ class TestEnumerationAndRank:
     def test_too_large(self):
         with pytest.raises(PreconditionError):
             all_permutations(13)
+
+    def test_rank_of_twenty_labels_is_exact(self):
+        assert permutation_rank_many(np.arange(20, 0, -1)[None]).tolist() == \
+            [math.factorial(20) - 1]
+
+    @pytest.mark.parametrize("n", [21, 22])  # 21! passes int64
+    def test_rank_length_bounded(self, n):
+        with pytest.raises(PreconditionError, match="permutation length must be at most 20"):
+            permutation_rank_many(np.arange(n, 0, -1)[None])
 
 
 class TestInputChecks:

@@ -35,6 +35,7 @@ from lucewalks import (
     permutation_rank_many,
     prefix_prob_p,
     prefix_prob_q,
+    project_braid,
     restrict,
     riffle_face_weights,
     sample_exponential_many,
@@ -104,6 +105,18 @@ GATED = [
 ]
 
 
+# (id, call) of an argument that must be a sequence, given a bare int
+NOT_SEQUENCES = [
+    ("sign_vector", lambda: SignVector(5)),
+    ("permutation", lambda: Permutation(3)),
+    ("chamber_index", lambda: chamber_index(5)),
+    ("project_braid", lambda: project_braid((1, 2), (1, 2))),
+    ("braid_table", lambda: FaceWeightTable("braid", 2, {(1, 2): 1.0})),
+    ("restrict", lambda: restrict([1, 2], 3)),
+    ("luce_pmf", lambda: luce_pmf([1, 2], 5)),
+]
+
+
 def _plain(x):
     """A value comparable with ``==``: arrays, tables and sequences as nested lists."""
     if isinstance(x, FaceWeightTable):
@@ -126,6 +139,13 @@ def test_refused(call, good, bad):
 def test_integral_float_accepted(call, good):
     assert _plain(call(float(good))) == _plain(call(good))
     assert _plain(call(np.int64(good))) == _plain(call(good))
+
+
+@pytest.mark.parametrize("call", [row[1] for row in NOT_SEQUENCES],
+                         ids=[row[0] for row in NOT_SEQUENCES])
+def test_bare_int_refused(call):
+    with pytest.raises(PreconditionError, match="is not a sequence"):
+        call()
 
 
 @pytest.mark.parametrize("size", [-1, (2, -1)], ids=["count", "shape"])

@@ -89,9 +89,10 @@ class TheoremSupRatioBound:
 
 class TestSupRatioTheorem:
     def test_k1_is_zero(self, np_rng):
+        # == 0.0 holds for -0.0 too, so the sign is read with copysign
         w = random_simplex(np_rng, 6)
-        assert d_inf_exact(w, 1) == 0.0
-        assert d_inf_bound(w, 1) == 0.0
+        for d in (d_inf_exact(w, 1), d_inf_bound(w, 1)):
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
     def test_half_heavy_example(self):
         # one weight 1/2, five weights 1/10: the distance is exactly 1/2
