@@ -443,7 +443,11 @@ def _uncrossed_hyperplane(table):
     if table.kind == "boolean":
         free = np.flatnonzero(np.all(ent == 0, axis=0))
         return f"pins coordinate {free[0] + 1}" if free.size else None
-    lab = np.lexsort(ent)  # stable: equal columns end up adjacent, in label order
+    # np.lexsort(ent)'s column order in one stable sort: each label's column, last face
+    # first, as one big-endian byte string, which orders as its block ids (all >= 0) do
+    cols = ent[::-1].T.astype(">i8", order="C").view(f"V{8 * table.m}")[:, 0]
+    lab = np.argsort(cols, kind="stable")  # equal columns end up adjacent, in label order
+    del cols  # before the gather, so the table is copied once at a time
     srt = ent[:, lab]
     tied = np.flatnonzero(np.all(srt[:, 1:] == srt[:, :-1], axis=0))
     return f"splits labels {lab[tied[0]] + 1} and {lab[tied[0] + 1] + 1}" if tied.size else None

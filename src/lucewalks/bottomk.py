@@ -719,7 +719,9 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     every ordered sample comes from one vectorized call of the certified
     log-survival bracket, tail included; each sample is weighted by the
     midpoint of its bracket.  Labels are at most 2^20, as in
-    :func:`limit_bottom_pmf`.  Returns (estimate, stderr).
+    :func:`limit_bottom_pmf`.  Returns (estimate, stderr).  A bracket with no
+    lower bound (a custom tail without ``tail_bound`` that does not shrink)
+    has no midpoint: ``ToleranceError``, as :func:`limit_bottom_pmf` raises.
     """
     a = _check_labels(a, _LABEL_MAX)
     size = _as_int(size, "size", 1)
@@ -728,6 +730,10 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     x = -np.log(u) / th[None, :]
     ordered = np.all(x[:, :-1] > x[:, 1:], axis=1)
     lo, hi = _log_survival_bracket(seq, x[ordered, -1], frozenset(a), 1e-9)
+    unbounded = np.count_nonzero(np.isneginf(lo) & (hi > -math.inf))
+    if unbounded:
+        raise ToleranceError(f"survival bracket has no lower bound at {unbounded} of "
+                             f"{lo.size} ordered samples; a tail_bound would bound it")
     weight = np.zeros(size)
     weight[ordered] = np.exp(0.5 * (lo + hi))
     est = float(weight.mean())

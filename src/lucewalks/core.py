@@ -236,7 +236,9 @@ def _race_rows(w, size, rng, order):
     """``size`` rows of 1-based draw orders: ``order`` of the weights and a uniform per cell."""
     w = as_weight_vector(w)
     size = _as_int(size, "size", 0)
-    return order(w.weights, rng.random((size, w.n))) + 1
+    out = order(w.weights, rng.random((size, w.n)))
+    out += 1
+    return out
 
 
 def sample_urn_many(w, size, rng, method="auto"):

@@ -2,7 +2,8 @@
 
 The kernels are deliberately dumb about randomness: callers pass arrays of
 uniforms drawn from an RngStream, which keeps all stream handling in one
-place.
+place.  The exponential race sorts each clock's bits, packed with its label,
+in the result array; the face products build chambers forward, in draw order.
 """
 
 import numpy as np
@@ -14,51 +15,63 @@ BACKEND = "numpy"
 # weighted order sampling (sequential draws without replacement)
 # ---------------------------------------------------------------------------
 
-# Rows this narrow keep numpy's stable sort, which sort-and-repair does not
-# beat there.  Over 2e6 float64 cells (best of 9, 2-vCPU AVX-512 VM), stable
-# against repaired: n = 4 26 / 64 ms, n = 8 28 / 30 ms, n = 12 30 / 28 ms,
-# n = 32 39 / 21 ms.
-_STABLE_SORT_MAX_N = 8
-# Cells gathered at a time: sorted values looking for ties, and face pins.
+# Rows this narrow keep numpy's stable argsort, which the packed sort does not
+# beat there.  Over 2e6 cells (best of 9, two runs, 2-vCPU AVX-512 VM, numpy
+# 2.4), stable against packed: n = 4 45 / 49 and 34 / 39 ms, n = 5 35 / 33
+# and 31 / 34 ms, n = 6 31 / 28 and 37 / 37 ms, n = 7 38 / 26 and 40 / 28 ms,
+# n = 8 34 / 23 and 42 / 25 ms.
+_STABLE_SORT_MAX_N = 6
+# Cells held at a time: race keys sorted in place, and face pins.
 _CHUNK_CELLS = 2**18
 
 
+def _clocks(weights, uniforms):
+    with np.errstate(divide="ignore", over="ignore"):
+        return -np.log(uniforms) / weights
+
+
 def _race_order(weights, uniforms):
-    """Exponential race: stable ascending sort of ``-log(U) / w`` per row.
+    """Exponential race: ``np.argsort(-log(U) / w, axis=1, kind="stable")`` as int64.
 
     Independent Exponential(w_i) clocks ring in the order of sequential
     weighted draws without replacement, so each row is a draw order.  ``U = 0``
-    and overflow give infinite clocks; ties go to the smaller index.
+    and overflow give infinite clocks; ties go to the smaller index.  Uniforms
+    lie in [0, 1], so every clock is at least 0 (or NaN, which sorts last).
 
-    ``_stable_argsort`` sorts the clocks: the default argsort, with only the
-    rows that hold a tie sorted again stably.
+    Rows wider than ``_STABLE_SORT_MAX_N`` sort values, not indices, one
+    ``_CHUNK_CELLS`` chunk of rows at a time, in the result array itself.
+    The bits of a clock that is at least 0 order as a uint64 exactly as its
+    value does.  So each cell takes the bits of ``log(U) / w`` with the sign
+    bit cleared, which are those of the clock (a -0.0 clock turns +0.0),
+    and the index of its label in place of the low ``s = ceil(log2 n)`` bits.
+    numpy's in-place sort orders those keys, and the low bits then read as the
+    draw order.  Only a row in which two neighbouring keys share their high
+    bits can differ from the stable argsort (equal clocks, infinite ones, or
+    clocks that the lost low bits made equal), so those rows alone are
+    sorted again from their clocks with ``kind="stable"``.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        clocks = -np.log(uniforms) / weights
-    return _stable_argsort(clocks)
-
-
-def _stable_argsort(a):
-    """``np.argsort(a, axis=1, kind="stable")`` as int64, re-sorting only tied rows.
-
-    Rows wider than ``_STABLE_SORT_MAX_N`` take the default (unstable)
-    argsort, about twice as fast.  Only a row whose sorted values hold an
-    equal adjacent pair can differ from the stable sort, so those rows alone
-    are sorted again with ``kind="stable"``; the result is the stable argsort
-    bit for bit.  The tie check runs ``_CHUNK_CELLS`` cells at a time, so
-    beyond ``a`` and the result it holds one chunk.
-    """
-    rows, n = a.shape
+    rows, n = uniforms.shape
     if n <= _STABLE_SORT_MAX_N:
-        return np.argsort(a, axis=1, kind="stable").astype(np.int64, copy=False)
-    out = np.argsort(a, axis=1).astype(np.int64, copy=False)
+        return np.argsort(_clocks(weights, uniforms), axis=1, kind="stable")
+    s = (n - 1).bit_length()
+    low = np.uint64((1 << s) - 1)  # the label bits
+    high = np.uint64((1 << 63) - (1 << s))  # the clock bits kept: all but the sign and low
+    labels = np.arange(n, dtype=np.uint64)
+    out = np.empty((rows, n), dtype=np.int64)
     step = max(1, _CHUNK_CELLS // n)
     for lo in range(0, rows, step):
-        srt = np.take_along_axis(a[lo:lo + step], out[lo:lo + step], axis=1)
-        tied = lo + np.flatnonzero(_tied(srt))
-        del srt  # free this chunk before the next one is gathered
+        keys = out[lo:lo + step].view(np.uint64)
+        minus_clocks = keys.view(np.float64)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.log(uniforms[lo:lo + step], out=minus_clocks)
+            minus_clocks /= weights
+        keys &= high
+        keys |= labels
+        keys.sort(axis=1)
+        tied = lo + np.flatnonzero(_tied(keys >> s))
+        keys &= low
         if tied.size:
-            out[tied] = np.argsort(a[tied], axis=1, kind="stable")
+            out[tied] = np.argsort(_clocks(weights, uniforms[tied]), axis=1, kind="stable")
     return out
 
 
@@ -166,36 +179,50 @@ def apply_braid_reverse(face_block_ids, orders):
     count), so the keys sort the labels as the product does.  Once a row's keys
     are all distinct its product is a chamber, which later faces cannot change
     (faces form a left-regular band), so the row leaves the loop with the
-    argsort of its keys.  Rows still tied after the last face, which only
-    non-separating tables leave, break ties toward the smaller label, as the
-    identity start row does in the reverse chain.
+    argsort of its keys.  A face adds at most as many key classes as it has
+    labels outside its largest block, so a row is checked only once 1 plus
+    that count, summed over its faces so far, reaches n: a Tsetlin face
+    {i} / rest adds one, so its rows wait for n - 1 faces.  Rows still tied
+    after the last face, which only non-separating tables leave, break ties
+    toward the smaller label, as the identity start row does in the reverse
+    chain.
     """
     faces = np.asarray(face_block_ids, dtype=np.int64)
     orders = np.asarray(orders, dtype=np.int64)
     size, m = orders.shape
     n = faces.shape[1]
     b = int(faces.max()) + 1
+    block_sizes = np.bincount((faces + b * np.arange(m)[:, None]).ravel(), minlength=m * b)
+    gain = n - block_sizes.reshape(m, b).max(axis=1)  # labels outside each face's largest block
     out = np.empty((size, n), dtype=np.int64)
     live = np.arange(size)  # rows whose keys still tie
     keys = np.zeros((size, n), dtype=np.int64)
+    reach = np.ones(size, dtype=np.int64)  # distinct keys per row are at most this
     span = 1  # every key is below span
     next_check, gap = 0, 1
     for t in range(m):
         if span * b > _KEY_HEADROOM:
             keys = _dense_rank(keys)
             span = min(span, n)
-        if t >= next_check and span >= n:  # n distinct keys need span >= n
-            done = ~_tied(np.sort(keys, axis=1))
+        # n distinct keys need span >= n and reach >= n
+        if t >= next_check and span >= n and (done := reach >= n).any():
+            srt = keys[done]
+            srt.sort(axis=1)
+            done[done] = ~_tied(srt)
+            del srt  # before the argsort below
+            if done.all():  # without copying the keys
+                out[live] = np.argsort(keys, axis=1)
+                return out
             if done.any():
                 out[live[done]] = np.argsort(keys[done], axis=1)
-                live, keys, orders = live[~done], keys[~done], orders[~done]
-                if not live.size:
-                    return out
+                live, keys, reach = live[~done], keys[~done], reach[~done]
             next_check, gap = t + gap, 2 * gap  # checks sort, so they widen
+        drawn = orders[live, t]
         keys *= b
-        keys += faces[orders[:, t]]
+        keys += faces[drawn]
+        reach += gain[drawn]
         span *= b
-    out[live] = _stable_argsort(keys)
+    out[live] = np.argsort(keys, axis=1, kind="stable")
     return out
 
 

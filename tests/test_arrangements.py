@@ -400,6 +400,27 @@ class TestIsSeparating:
             assert is_separating(table) == bool(split.all())
         assert verdicts == {True, False}
 
+    def test_braid_reports_the_first_tie_in_lexsort_order(self, np_rng):
+        # the labels named are the first equal neighbours of np.lexsort's column order
+        named = set()
+        for _ in range(200):
+            n, m = int(np_rng.integers(2, 9)), int(np_rng.integers(1, 6))
+            faces = []
+            for _ in range(m):
+                ids = np_rng.integers(0, int(np_rng.integers(1, 4)), size=n)
+                faces.append(BlockOrderedSetPartition(
+                    [np.flatnonzero(ids == b) + 1 for b in np.unique(ids)]))
+            faces = list(dict.fromkeys(faces))
+            table = FaceWeightTable("braid", n, [(f, 1 / len(faces)) for f in faces])
+            ent = table.entries_matrix()
+            lab = np.lexsort(ent)
+            tied = np.flatnonzero(np.all(ent[:, lab[1:]] == ent[:, lab[:-1]], axis=0))
+            expected = f"splits labels {lab[tied[0]] + 1} and {lab[tied[0] + 1] + 1}" \
+                if tied.size else None
+            assert arrangements._uncrossed_hyperplane(table) == expected
+            named.add(expected)
+        assert None in named and len(named) > 10
+
     @pytest.mark.parametrize("kind", ["boolean", "braid"])
     def test_matches_closed_class_oracle(self, np_rng, dense_kernel, kind):
         # the law is unique exactly when the kernel's graph has one closed class

@@ -756,6 +756,14 @@ class TestMonteCarloCrossCheck:
         assert stderr > 0
         assert abs(est - quad) / stderr <= 4.0
 
+    def test_unbounded_custom_tail_raises(self):
+        # every term past i = 50 is e^(-50 x), so the tail never shrinks and its log
+        # survival has no lower bound; limit_bottom_pmf raises ToleranceError here
+        # (bracket gap 0.695), and the MC route must not report a value either
+        seq = WeightSequence(lambda i: min(float(i), 50.0), monotone=True)
+        with pytest.raises(ToleranceError, match="no lower bound"):
+            limit_bottom_pmf_mc(seq, (1,), 20, RngStream(5))
+
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
             limit_bottom_pmf_mc(linear_weights(), (1, 1), 100, RngStream(0))

@@ -294,11 +294,15 @@ def stable_clock_order(weights, u):
         return np.argsort(-np.log(u) / weights, axis=1, kind="stable")
 
 
-class TestRaceSortRepair:
-    """The default argsort with tied rows re-sorted equals the stable argsort."""
+# both sides of the stable-sort cutover, n = 2^s and 2^s + 1, and a wider row
+RACE_WIDTHS = sorted({kernels._STABLE_SORT_MAX_N - 1, kernels._STABLE_SORT_MAX_N,
+                      kernels._STABLE_SORT_MAX_N + 1, 8, 9, 16, 17, 40})
 
-    @pytest.mark.parametrize("n", [kernels._STABLE_SORT_MAX_N - 1, kernels._STABLE_SORT_MAX_N,
-                                   kernels._STABLE_SORT_MAX_N + 1, 40])
+
+class TestRaceSortRepair:
+    """The packed key sort with tied rows re-sorted equals the stable argsort."""
+
+    @pytest.mark.parametrize("n", RACE_WIDTHS)
     @pytest.mark.parametrize("tie", ["infinite", "finite"])
     def test_ties_at_chunk_edges(self, np_rng, monkeypatch, n, tie):
         monkeypatch.setattr(kernels, "_CHUNK_CELLS", 16 * n)  # 16 rows per chunk
@@ -316,6 +320,33 @@ class TestRaceSortRepair:
         np.testing.assert_array_equal(weighted_order_many(weights, u), expected)
         np.testing.assert_array_equal(kernels._race_order(weights, u), expected)
 
+    @pytest.mark.parametrize("n", RACE_WIDTHS)
+    def test_packed_key_edge_cases(self, np_rng, monkeypatch, n):
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 4 * n)  # 4 rows per chunk
+        weights = np.ones(n)
+        u = np_rng.uniform(0.2, 0.9, size=(13, n))
+        # clocks that differ only in their low bits, falling as the label rises:
+        # u one ulp apart near 0.5 moves -log(u) by about two ulps
+        u[0] = 0.5 + np.arange(n) * 2.0**-53
+        u[1] = 0.5 + np.arange(n)[::-1] * 2.0**-53
+        u[2, ::3] = 0.0  # +inf clocks
+        u[3, : n // 2] = 0.0
+        u[4, 1::2] = 1.0  # -0.0 clocks, tied with each other
+        u[5] = 1.0
+        u[6, :] = u[6, 0]  # with unit weights, one clock for the whole row
+        big = weights.copy()
+        big[::2] = 1e308  # clocks that underflow to +0.0
+        u[7:10, ::4] = 1.0 - 2.0**-53
+        u[8, 1::4] = 1.0
+        u[9, 2::4] = 0.0
+        u[10, :2] = 1.0 - 2.0**-53, 1.0  # a single +0.0 clock before a single -0.0 one
+        for w in (weights, big):
+            expected = stable_clock_order(w, u)
+            np.testing.assert_array_equal(kernels._race_order(w, u), expected)
+        with np.errstate(divide="ignore"):
+            clocks = -np.log(u[7:10]) / big
+        assert np.signbit(clocks[1, 1]) and clocks[0, 0] == 0.0 and not np.signbit(clocks[0, 0])
+
     def test_peak_memory_is_one_chunk(self, np_rng, monkeypatch):
         assert 2**17 <= kernels._CHUNK_CELLS <= 2**20
         chunk = 2**15
@@ -331,6 +362,6 @@ class TestRaceSortRepair:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(got, stable_clock_order(weights, u))
-        # the clocks, the result, and one chunk of sorted clocks with its flags;
-        # the slack holds the stable re-sort of a chunk's one tied row
-        assert peak <= 2 * u.nbytes + chunk * (8 + 2) + 2**17
+        # the result, which holds the keys, and one chunk of shifted keys with
+        # its flags; the slack holds numpy's buffers and a chunk's tied row
+        assert peak <= u.nbytes + chunk * (8 + 1) + 2**18
