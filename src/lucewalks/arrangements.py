@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .core import Permutation, _check_tol, as_weight_vector, permutation_rank_many
-from .exceptions import PreconditionError, ToleranceError, _as_int, _as_ints
+from .exceptions import PreconditionError, ToleranceError, _as_int, _as_ints, _as_tuple
 
 __all__ = [
     "SignVector",
@@ -120,7 +120,7 @@ class BlockOrderedSetPartition:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        bs = tuple(frozenset(_as_ints(b, "label")) for b in blocks)
+        bs = tuple(frozenset(_as_ints(b, "label")) for b in _as_tuple(blocks, "blocks"))
         if not bs or any(not b for b in bs):
             raise PreconditionError("blocks must be nonempty")
         n = sum(len(b) for b in bs)
@@ -306,11 +306,14 @@ class FaceWeightTable:
                                                for k in range(max(row) + 1)]) for row in rows)
 
     def weight_of(self, face):
-        """The weight of ``face``: 0.0 when the table holds no such face."""
-        if not isinstance(face, _CLASSES["face"][self.kind]):
+        """The weight of ``face``, an object or a plain sequence: 0.0 when the table
+        holds no such face, or ``face`` is no face of the table's kind and size."""
+        try:
+            face = _as_face(self.kind, face, self.dim)
+        except PreconditionError:
             return 0.0
         row = np.asarray(face.entries if self.kind == "boolean" else face.block_ids())
-        hit = self.weights[(self._entries == row).all(axis=1)] if row.size == self.dim else ()
+        hit = self.weights[(self._entries == row).all(axis=1)]
         return float(hit[0]) if len(hit) else 0.0
 
     def entries_matrix(self):

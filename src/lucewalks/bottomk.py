@@ -172,8 +172,7 @@ class WeightSequence:
     and exact tails, so only the built-in constructors set them; else None.
     """
 
-    __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache",
-                 "_vectorized")
+    __slots__ = ("_evaluator", "monotone", "tail_bound", "family", "beta", "_cache")
 
     def __init__(self, evaluator, *, monotone=False, tail_bound=None):
         self._evaluator = evaluator
@@ -182,7 +181,6 @@ class WeightSequence:
         self.family = None
         self.beta = None
         self._cache = np.empty(0, dtype=np.float64)
-        self._vectorized = False
 
     @classmethod
     def _builtin(cls, evaluator, family, beta=None):
@@ -190,7 +188,6 @@ class WeightSequence:
         seq = cls(evaluator, monotone=True)
         seq.family = family
         seq.beta = beta
-        seq._vectorized = True
         return seq
 
     def thetas(self, n):
@@ -203,7 +200,7 @@ class WeightSequence:
         n, lo = _as_int(n, "n", 0), self._cache.size
         if n > lo:
             hi = max(n, 2 * lo)
-            if self._vectorized:
+            if self.family is not None:  # a built-in evaluator maps the index array at once
                 new = np.asarray(self._evaluator(np.arange(lo + 1, hi + 1, dtype=np.float64)),
                                  dtype=np.float64)
             else:
@@ -424,8 +421,7 @@ def _log_survival_bracket(seq, x, exclude, rel_tol):
         if n >= _TERMS_MAX:
             break
         with np.errstate(invalid="ignore"):
-            live = live[(t_hi - t_lo > rel_tol) & (t_lo < -1e-300)
-                        & (hi[live] > LOG_PRODUCT_FLOOR)]
+            live = live[(t_hi - t_lo > rel_tol) & (hi[live] > LOG_PRODUCT_FLOOR)]
         if live.size == 0:
             break
         th = seq.thetas(2 * n)[n - 1:2 * n - 1]
@@ -719,12 +715,13 @@ def limit_bottom_pmf_mc(seq, a, size, rng):
     every ordered sample comes from one vectorized call of the certified
     log-survival bracket, tail included; each sample is weighted by the
     midpoint of its bracket.  Labels are at most 2^20, as in
-    :func:`limit_bottom_pmf`.  Returns (estimate, stderr).  A bracket with no
+    :func:`limit_bottom_pmf`.  Returns (estimate, stderr); ``size`` is at
+    least 2, since one sample has no stderr.  A bracket with no
     lower bound (a custom tail without ``tail_bound`` that does not shrink)
     has no midpoint: ``ToleranceError``, as :func:`limit_bottom_pmf` raises.
     """
     a = _check_labels(a, _LABEL_MAX)
-    size = _as_int(size, "size", 1)
+    size = _as_int(size, "size", 2)
     th = np.array([seq.theta(v) for v in a])
     u = rng.random((size, len(a)))
     x = -np.log(u) / th[None, :]

@@ -65,14 +65,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _f9(x):
-    """Round a float to 9 significant digits (the CLI output precision)."""
-    return float(f"{float(x):.9g}")
-
-
 def _round9(obj):
+    """``obj`` with every float rounded to 9 significant digits (the CLI output precision)."""
     if isinstance(obj, float):
-        return _f9(obj)
+        return float(f"{float(obj):.9g}")
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -168,11 +164,9 @@ def _vector_from_spec(spec):
     if fam is None:
         raise PreconditionError("object needs 'weights' or 'family'")
     n = spec.get("n")
-    n = None if n is None else _as_int(n, "n")
+    n = None if n is None else _as_int(n, "n", hi=_FAMILY_N_MAX)
     if n is None or n < 1:
         raise PreconditionError(f"family {fam!r} needs n >= 1 (--n), got {n}")
-    if n > _FAMILY_N_MAX:
-        raise PreconditionError(f"family {fam!r} is capped at n = {_FAMILY_N_MAX}, got {n}")
     if fam == "uniform":
         return WeightVector(np.full(n, 1.0 / n))
     if fam == "sukhatme":
@@ -261,17 +255,13 @@ def _cmd_pmf(args, rng):
 
 def _cmd_sample(args, rng):
     w = resolve_weight_vector(args)
-    if args.n_samples < 0:
-        raise PreconditionError("--n-samples must be nonnegative")
-    if args.n_samples == 0:
+    if _as_int(args.n_samples, "--n-samples", 0) == 0:
         return {}
-    samples = sample_urn_many(w, args.n_samples, rng)  # each --method draws the same race
+    rows = sample_urn_many(w, args.n_samples, rng).tolist()  # each --method draws the same race
     if args.format == "json":
-        _emit_json({"method": args.method, "n": w.n,
-                    "samples": [list(map(int, row)) for row in samples]})
+        _emit_json({"method": args.method, "n": w.n, "samples": rows})
     else:
-        _emit_csv([f"p{j}" for j in range(1, w.n + 1)],
-                  [list(map(int, row)) for row in samples])
+        _emit_csv([f"p{j}" for j in range(1, w.n + 1)], rows)
     return {}
 
 
@@ -283,9 +273,7 @@ def _cmd_topk(args, rng):
 
 def _cmd_bottom_table(args, rng):
     seq = resolve_weight_sequence(args)
-    if not 1 <= args.max_label <= _MAX_LABEL_MAX:
-        raise PreconditionError(f"--max-label must be between 1 and {_MAX_LABEL_MAX}, "
-                                f"got {args.max_label}")
+    _as_int(args.max_label, "--max-label", 1, _MAX_LABEL_MAX)
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DefectiveMassWarning)
@@ -344,14 +332,10 @@ def _build_face_table(args):
             if "sum to" not in str(exc):  # of the table's rules, the flag mends the sum alone
                 raise
             raise PreconditionError(f"{exc}; add --normalize") from exc
-    if model == "riffle":
+    if model in ("riffle", "ehrenfest"):
         if args.dim is None:
-            raise PreconditionError("--dim is required for the riffle model")
-        return riffle_face_weights(args.dim)
-    if model == "ehrenfest":
-        if args.dim is None:
-            raise PreconditionError("--dim is required for the ehrenfest model")
-        return ehrenfest_face_weights(args.dim)
+            raise PreconditionError(f"--dim is required for the {model} model")
+        return (riffle_face_weights if model == "riffle" else ehrenfest_face_weights)(args.dim)
     # --model's choices leave only coloring
     if args.graph is None:
         raise PreconditionError("--graph is required for the coloring model")
@@ -380,8 +364,7 @@ def _cmd_arrangement(args, rng):
     table = _build_face_table(args)
     kind, dim = table.kind, table.dim
     if args.action == "sim":
-        if args.steps < 0:
-            raise PreconditionError("--steps must be nonnegative")
+        _as_int(args.steps, "--steps", 0)
         start = _parse_chamber(kind, args.start) if args.start else \
             (SignVector([1] * dim) if kind == "boolean" else Permutation.identity(dim))
         chain = ChamberChain(table, start)
@@ -407,9 +390,7 @@ def _cmd_arrangement(args, rng):
             _emit_csv(["chamber", "probability"], list(zip(cells, pi)))
         return {"tol": args.tol, "residual": residual}
     # the arrangement subparsers leave only sample-bd
-    if args.samples < 0:
-        raise PreconditionError("--samples must be nonnegative")
-    if args.samples == 0:
+    if _as_int(args.samples, "--samples", 0) == 0:
         return {}
     out = brown_diaconis_sample_many(table, args.samples, rng)
     if args.format == "json":
@@ -510,12 +491,6 @@ _EXITS = (
 )
 
 
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return _entropy_seed()
-
-
 def _write_manifest(argv, seed, tolerances, exit_code, t0, error=None, trace=None):
     out_dir = os.environ.get("LUCEWALKS_OUTPUT_DIR", ".")
     try:
@@ -552,7 +527,7 @@ def main(argv=None):
         code = 0 if (e.code or 0) == 0 else 1
         _write_manifest(argv, None, {}, code, t0)
         return code
-    seed = _resolve_seed(args)
+    seed = _entropy_seed() if args.seed is None else args.seed
     print(f"seed: {seed}", file=sys.stderr)
     tolerances = {}
     error = trace = None

@@ -46,12 +46,17 @@ def _as_int(v, what, lo=None, hi=None):
     return v
 
 
-def _as_ints(values, what, lo=None, hi=None):
-    """``values`` as a tuple of ints, each checked by :func:`_as_int`; a non-sequence raises."""
+def _as_tuple(values, what):
+    """``values`` (an array included) as a tuple; a non-sequence raises PreconditionError."""
     try:
-        vals = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+        return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
     except TypeError:
         raise PreconditionError(f"{what}: {values!r} is not a sequence") from None
+
+
+def _as_ints(values, what, lo=None, hi=None):
+    """``values`` as a tuple of ints, each checked by :func:`_as_int`; a non-sequence raises."""
+    vals = _as_tuple(values, what)
     if not all(type(v) is int for v in vals):
         vals = tuple(_as_int(v, what) for v in vals)
     if vals and (lo, hi) != (None, None):

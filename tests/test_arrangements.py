@@ -1004,6 +1004,13 @@ class TestArrayTables:
     def test_weight_of_non_member(self, face):
         assert riffle_face_weights(4).weight_of(face) == 0.0
 
+    def test_weight_of_plain_sequence(self):
+        boolean = FaceWeightTable("boolean", 2, {(1, 0): 0.5, (0, 1): 0.5})
+        assert boolean.weight_of((1, 0)) == boolean.weight_of(SignVector((1, 0))) == 0.5
+        braid = FaceWeightTable("braid", 3, {((1,), (2, 3)): 0.25, ((2, 3), (1,)): 0.75})
+        assert braid.weight_of([[1], [2, 3]]) == 0.25
+        assert braid.weight_of([[2, 3], [1]]) == 0.75
+
     def test_rows_are_read_only(self):
         t = riffle_face_weights(3)
         assert not t.entries_matrix().flags.writeable and not t.weights.flags.writeable

@@ -769,6 +769,9 @@ class TestMonteCarloCrossCheck:
             limit_bottom_pmf_mc(linear_weights(), (1, 1), 100, RngStream(0))
         with pytest.raises(PreconditionError):
             limit_bottom_pmf_mc(linear_weights(), (1,), 0, RngStream(0))
+        # one sample has no standard error: std(ddof=1) would be NaN, with a warning
+        with pytest.raises(PreconditionError, match="at least 2"):
+            limit_bottom_pmf_mc(linear_weights(), (1,), 1, RngStream(0))
 
 
 class TestLabelBound:

@@ -434,28 +434,30 @@ class TestWeightSpecs:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("argv", [
-        ("sample", "--weights", "[1,2]", "--n-samples", "-1"),
-        ("bottom-table", "--family", "linear", "--max-label", "0"),
-        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "nan"),
-        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "0"),
-        ("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "-1"),
-        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "nan"),
-        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "0"),
-        ("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "-1"),
-        ("arrangement", "stationary", "--model", "riffle"),
-        ("arrangement", "stationary", "--model", "ehrenfest"),
-        ("arrangement", "stationary", "--model", "coloring"),
-        ("arrangement", "sim", "--model", "ehrenfest", "--dim", "2", "--steps", "-1"),
-        ("arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "2", "--samples", "-1"),
+    @pytest.mark.parametrize("argv, flag", [
+        (("sample", "--weights", "[1,2]", "--n-samples", "-1"), "--n-samples"),
+        (("bottom-table", "--family", "linear", "--max-label", "0"), "--max-label"),
+        (("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "nan"), "tol"),
+        (("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "0"), "tol"),
+        (("bottom-table", "--family", "linear", "--max-label", "1", "--tol", "-1"), "tol"),
+        (("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "nan"), "tol"),
+        (("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "0"), "tol"),
+        (("arrangement", "stationary", "--model", "ehrenfest", "--dim", "2", "--tol", "-1"), "tol"),
+        (("arrangement", "stationary", "--model", "riffle"), "--dim"),
+        (("arrangement", "stationary", "--model", "ehrenfest"), "--dim"),
+        (("arrangement", "stationary", "--model", "coloring"), "--graph"),
+        (("arrangement", "sim", "--model", "ehrenfest", "--dim", "2", "--steps", "-1"), "--steps"),
+        (("arrangement", "sample-bd", "--model", "ehrenfest", "--dim", "2", "--samples", "-1"),
+         "--samples"),
     ], ids=["n_samples", "max_label", "table_tol_nan", "table_tol_zero", "table_tol_negative",
             "stationary_tol_nan", "stationary_tol_zero", "stationary_tol_negative",
             "riffle_no_dim", "ehrenfest_no_dim", "coloring_no_graph", "steps", "samples"])
-    def test_exit_3_with_manifest(self, run, tmp_path, argv):
+    def test_exit_3_with_manifest(self, run, tmp_path, argv, flag):
         code, out, err = run(*argv, "--seed", "1")
         assert code == 3
         assert out == ""
-        assert err.splitlines()[-1].startswith("precondition error: ")
+        last = err.splitlines()[-1]
+        assert last.startswith("precondition error: ") and flag in last
         doc = json.loads((tmp_path / "run_manifest.json").read_text())
         assert doc["exit_code"] == 3 and doc["error"] == "PreconditionError"
 

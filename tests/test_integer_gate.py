@@ -105,7 +105,7 @@ GATED = [
 ]
 
 
-# (id, call) of an argument that must be a sequence, given a bare int
+# (id, call) of an argument that must be a sequence, given a bare int or None
 NOT_SEQUENCES = [
     ("sign_vector", lambda: SignVector(5)),
     ("permutation", lambda: Permutation(3)),
@@ -114,6 +114,9 @@ NOT_SEQUENCES = [
     ("braid_table", lambda: FaceWeightTable("braid", 2, {(1, 2): 1.0})),
     ("restrict", lambda: restrict([1, 2], 3)),
     ("luce_pmf", lambda: luce_pmf([1, 2], 5)),
+    ("block_partition", lambda: BlockOrderedSetPartition(5)),
+    ("project_braid_face", lambda: project_braid((1, 2), None)),
+    ("braid_table_face", lambda: FaceWeightTable("braid", 2, {5: 1.0})),
 ]
 
 
