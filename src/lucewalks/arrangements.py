@@ -276,7 +276,15 @@ class FaceWeightTable:
         total = float(np.concatenate(([0.0], weights)).cumsum()[-1])
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise PreconditionError(f"face weights sum to {total!r}, not 1")
-        order = np.lexsort(rows.T[::-1])  # stable, first column primary
+        # np.lexsort(rows.T[::-1])'s order, first column primary and stable, in one sort of
+        # each row read as a big-endian byte string: signs -1, 0, 1 as bytes 0, 1, 2, and
+        # block ids, which lie in [0, dim), in the fewest bytes that hold dim - 1
+        if kind == "boolean":
+            keys = (rows + 1).astype(np.uint8, order="C")
+        else:
+            keys = rows.astype(np.min_scalar_type(dim - 1).newbyteorder(">"), order="C")
+        keys = keys.view(f"V{keys.itemsize * dim}")[:, 0]
+        order = np.argsort(keys, kind="stable")
         rows, weights = rows[order], weights[order]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = np.any(rows[1:] != rows[:-1], axis=1)

@@ -26,13 +26,18 @@ whose integrand takes every node of a refinement round at once.  The log of
 the survival product is a head of terms summed directly plus the tail
 -sum_m S_n(m x) / m, where S_n(x) = sum_{i > n} e^{-theta_i x} is the tail of
 f itself: each weight family writes one certified bracket of S_n, read by
-both f and this order sum.  An importance-sampling Monte Carlo estimator is
-provided as an independent cross-check.
+both f and this order sum.  For the log families that bracket is an
+Euler-Maclaurin sum whose remainder the next term bounds, intersected with
+the trapezoid and midpoint bounds and widened by its rounding; it is tight
+from the first head on, so the head of 2 max(a) terms, 32 at least, does
+not grow as the tolerance shrinks.  An importance-sampling Monte Carlo
+estimator is provided as an independent cross-check.
 
 The module global ``integrate`` is the one place the quadrature is looked
 up; its ``quad`` is that rule, in numpy alone.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,6 +95,9 @@ _GK_NODES = np.r_[-_XGK[:-1], _XGK[::-1]]
 _GK_WEIGHTS = np.r_[_WGK[:-1], _WGK[::-1]]
 _GAUSS_WEIGHTS = np.r_[_WG[:-1], _WG[::-1]]
 _EPS = np.finfo(np.float64).eps
+# a tail bracket within this share of its own magnitude is at its rounding floor:
+# a longer head narrows it no further
+_ROUNDING_FLOOR = 512 * _EPS
 
 
 def _gk21_panels(func, lo, hi):
@@ -299,16 +307,91 @@ def _loglog_tail_integral(y, a):
     return out.reshape(y.shape)
 
 
+_EM_TERMS = 5  # Euler-Maclaurin corrections summed; the next one bounds the remainder
+_EM_J = np.arange(1.0, _EM_TERMS + 2.0)
+# the midpoint rule's weights -B_2j(1/2) / 2j = (1 - 2^(1-2j)) B_2j / 2j, j = 1 .. _EM_TERMS + 1
+_EM_WEIGHTS = (np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730])
+               * (1.0 - 2.0 ** (1.0 - 2.0 * _EM_J)) / (2.0 * _EM_J))
+_EM_PAD = 2.0 * _EPS  # a bound's relative rounding, per unit of 4 + |log g(a)|
+
+
+def _series_powers(c):
+    """Column k holds the coefficients of C(h)^k, for C(h) = sum_r c[r] h^r with c[0] = 0,
+    truncated at the degree of c."""
+    out = np.zeros((c.size, c.size))
+    out[0, 0] = 1.0
+    for k in range(1, c.size):
+        out[:, k] = np.convolve(out[:, k - 1], c)[:c.size]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _em_matrix(a, loglog):
+    """Rows k = 0 .. 2p+1 of the (-t)^k coefficients, over g(a), of the Euler-Maclaurin
+    corrections M_1 + ... + M_p at a, of |M_1| + ... + |M_(p+1)|, and of M_(p+1).
+
+    log g(a + h) = log g(a) - t C(h), with C(h) = log(1 + h/a) for k^-t and
+    C(h) + 2 log(1 + C(h)/log a) for k^-t (log k)^-2t, so the Taylor
+    coefficient g^(r)(a)/r! is g(a) sum_k (-t)^k [h^r] C(h)^k / k!.  Those
+    of odd r are negative, as g is completely monotone, so M_j has the sign
+    of -_EM_WEIGHTS[j].
+    """
+    r = np.arange(1.0, 2.0 * _EM_TERMS + 2.0)
+    c = np.r_[0.0, -(-1.0 / a) ** r / r]
+    if loglog:
+        w = _series_powers(c / math.log(a))
+        c = c + 2.0 * (w[:, 1:] @ (-(-1.0) ** r / r))
+    m = (_series_powers(c) / np.cumprod(np.r_[1.0, r]))[1::2].T * _EM_WEIGHTS
+    out = np.c_[m[:, :-1].sum(axis=1), m @ -np.sign(_EM_WEIGHTS), m[:, -1]]
+    out.flags.writeable = False  # one cached array serves every caller
+    return out
+
+
+def _em_bracket(a, t, loglog, upper, g_a):
+    """Bracket (lo, hi) of sum_{k >= a + 1/2} g(k) for g(k) = k^-t, or k^-t (log k)^-2t.
+
+    g is completely monotone, so the midpoint Euler-Maclaurin sum
+    integral_a^inf g + sum_{j <= p} M_j, M_j = -B_2j(1/2)/(2j)! g^(2j-1)(a)
+    and p = _EM_TERMS,
+    misses the sum by at most M_(p+1), on its side (Olver 1974, ch. 8).
+    ``upper`` is the integral and ``g_a`` = g(a).  Each side is widened by
+    its rounding, _EM_PAD (4 + |log g(a)|) times the sum of |terms|: exp and
+    pow lose about eps |z| to the rounding of their argument z.  Where
+    g(a) < 1e-300 the terms would lose digits to underflow, and the bracket
+    is (0, inf).
+    """
+    lo, hi = np.zeros(t.shape), np.full(t.shape, math.inf)
+    i = np.flatnonzero(g_a >= 1e-300)
+    k = _em_matrix(a, loglog)
+    neg_t = -t[i, None]
+    terms = np.tile(k[-1], (i.size, 1))
+    for row in k[-2::-1]:  # Horner's rule in -t
+        terms *= neg_t
+        terms += row
+    terms *= g_a[i, None]
+    corr, size, last = terms.T
+    em = upper[i] + corr
+    log_g = t[i] * (math.log(a) + (2.0 * math.log(math.log(a)) if loglog else 0.0))
+    err = _EM_PAD * (4.0 + log_g) * (upper[i] + size)
+    lo[i] = em + np.minimum(last, 0.0) - err
+    hi[i] = em + np.maximum(last, 0.0) + err
+    return lo, hi
+
+
 def _exp_sum_tail(seq, n_terms, x, lower=True):
     """Bracket (lo, hi) of S(x) = sum_{i > n_terms} exp(-theta_i x), elementwise over an array x.
 
     The only code that knows a family's tail.  ``linear`` is the geometric sum
     itself.  The ``log`` families write theta_i in k = i + 1, so the terms are
-    g(k) for k >= q = n_terms + 2, g convex and decreasing; S lies between the
-    trapezoid bound integral_q^inf g + g(q)/2 and the midpoint bound
-    integral_{q-1/2}^inf g (q - 1/2 > e for log-loglog).  (inf, inf) means S
-    diverges; a custom sequence gives (0, tail_bound), or (0, inf) without one.
-    With ``lower=False`` only hi is computed and lo is None.
+    g(k) for k >= q = n_terms + 2, g completely monotone: k^-t with t = beta x,
+    or k^-x (log k)^-2x.  S lies between the trapezoid bound
+    integral_q^inf g + g(q)/2 and the midpoint bound integral_{q-1/2}^inf g
+    (q - 1/2 > e for log-loglog), and inside the Euler-Maclaurin bracket of
+    :func:`_em_bracket`; the two are intersected, so the bracket is never
+    wider than the first (but for 8 eps of rounding), and is far narrower
+    wherever t is small against q.
+    (inf, inf) means S diverges; a custom sequence gives (0, tail_bound), or
+    (0, inf) without one.  With ``lower=False`` only hi is computed and lo is None.
     """
     x = np.asarray(x, dtype=np.float64)
     q = n_terms + 2.0
@@ -316,19 +399,36 @@ def _exp_sum_tail(seq, n_terms, x, lower=True):
         # a zero denominator at x <= 0 makes S infinite
         with np.errstate(divide="ignore"):
             lo = hi = np.exp(-(n_terms + 1) * x) / np.maximum(-np.expm1(-x), 0.0)
-    elif seq.family == "log":
-        # integral_a^inf k^-s dk = a^-e / e with e = s - 1, infinite for e <= 0
-        s = seq.beta * x
-        e = np.maximum(s - 1.0, 0.0)
-        with np.errstate(divide="ignore"):
-            lo, hi = q ** -e / e + 0.5 * q ** -s, (q - 0.5) ** -e / e
-    elif seq.family == "log-loglog":
+    elif seq.family in ("log", "log-loglog"):
+        loglog = seq.family == "log-loglog"
+        a = q - 0.5
+        if loglog:
+            ok = x >= 1.0
+            t = x[ok]
+
+            def integral(b):
+                return _loglog_tail_integral(t, b)
+
+            def g(b):
+                return b ** -t * math.log(b) ** (-2.0 * t)
+        else:
+            # integral_b^inf k^-t dk = b^(1-t) / (t - 1), infinite for t <= 1
+            t = seq.beta * x
+            ok = t > 1.0
+            t = t[ok]
+
+            def integral(b):
+                return b ** (1.0 - t) / (t - 1.0)
+
+            def g(b):
+                return b ** -t
         lo, hi = np.full(x.shape, math.inf), np.full(x.shape, math.inf)
-        ok = x >= 1.0
-        v = x[ok]
+        upper = integral(a)
+        em_lo, em_hi = _em_bracket(a, t, loglog, upper, g(a))
+        # the trapezoid and midpoint bounds, widened by the E-M sides' base pad for rounding
+        hi[ok] = np.minimum(upper * (1.0 + 4.0 * _EM_PAD), em_hi)
         if lower:
-            lo[ok] = _loglog_tail_integral(v, q) + 0.5 * q ** -v * math.log(q) ** (-2.0 * v)
-        hi[ok] = _loglog_tail_integral(v, q - 0.5)
+            lo[ok] = np.maximum((integral(q) + 0.5 * g(q)) * (1.0 - 4.0 * _EM_PAD), em_lo)
     elif seq.family == "constant":
         lo = hi = np.full(x.shape, math.inf)
     else:
@@ -404,7 +504,8 @@ def _log_survival_bracket(seq, x, exclude, rel_tol):
     the product is exactly zero: the underlying sum diverges or the product
     is certainly below e^-700.  The head 1..n-1 is summed directly and n doubled
     until the tail bracket, from the cached theta_n on, is narrower than
-    ``rel_tol``; out of budget, the widest honest bracket is returned.
+    ``rel_tol`` or than _ROUNDING_FLOOR of its own size; out of budget, the
+    widest honest bracket is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     lo = np.empty(x.shape)
@@ -421,7 +522,8 @@ def _log_survival_bracket(seq, x, exclude, rel_tol):
         if n >= _TERMS_MAX:
             break
         with np.errstate(invalid="ignore"):
-            live = live[(t_hi - t_lo > rel_tol) & (hi[live] > LOG_PRODUCT_FLOOR)]
+            wide = t_hi - t_lo > np.maximum(rel_tol, _ROUNDING_FLOOR * -t_hi)
+            live = live[wide & (hi[live] > LOG_PRODUCT_FLOOR)]
         if live.size == 0:
             break
         th = seq.thetas(2 * n)[n - 1:2 * n - 1]

@@ -310,8 +310,8 @@ def collision_lambda(w, k):
 
 def tv_poisson_approx(lam):
     """Poissonized collision estimate 1 - exp(-lambda)."""
-    if lam < 0:
-        raise PreconditionError("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise PreconditionError(f"lambda must be nonnegative and finite, got {lam!r}")
     return -math.expm1(-lam)
 
 
@@ -328,7 +328,7 @@ def second_card_marginal(w, label):
 class DistanceReport:
     """Bundle of the k-prefix distance diagnostics.
 
-    Values are validated: probabilities in [0, 1], lambda nonnegative, and
+    Values are validated: probabilities in [0, 1], lambda nonnegative and finite, and
     tv_exact never exceeds d_inf_exact.
     """
 
@@ -344,8 +344,9 @@ class DistanceReport:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise PreconditionError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.collision_lambda < 0.0:
-            raise PreconditionError("collision_lambda must be nonnegative")
+        if not 0.0 <= self.collision_lambda < math.inf:
+            raise PreconditionError("collision_lambda must be nonnegative and finite, "
+                                    f"got {self.collision_lambda!r}")
         if self.tv_exact > self.d_inf_exact + 1e-12:
             raise PreconditionError("tv_exact cannot exceed d_inf_exact")
 

@@ -248,6 +248,28 @@ class TestFaceWeightTable:
         assert t1.faces == t2.faces
         np.testing.assert_array_equal(t1.weights, t2.weights)
 
+    @pytest.mark.parametrize("kind,dim", [("boolean", 5), ("boolean", 40), ("braid", 6),
+                                          ("braid", 300)])
+    def test_rows_in_lexsort_order(self, np_rng, kind, dim):
+        # the one-sort row order is np.lexsort's, first column primary and stable, on rows
+        # with duplicates: -1 sorts before +1, and block ids past 255 take two bytes
+        if kind == "boolean":
+            pool = np_rng.integers(-1, 2, size=(30, dim)).astype(np.int8)
+        else:
+            pool = np.array([np.unique(np_rng.integers(0, int(np_rng.integers(1, dim + 1)), dim),
+                                       return_inverse=True)[1] for _ in range(30)])
+        rows = pool[np_rng.integers(0, len(pool), size=200)]
+        weights = np_rng.random(200)
+        weights /= weights.sum()
+        table = FaceWeightTable._from_rows(kind, dim, rows, weights)
+        order = np.lexsort(rows.T[::-1])
+        srt = rows[order]
+        first = np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]
+        merged = np.zeros(np.count_nonzero(first))
+        np.add.at(merged, np.cumsum(first) - 1, weights[order])
+        np.testing.assert_array_equal(table.entries_matrix(), srt[first])
+        np.testing.assert_array_equal(table.weights, merged)
+
 
 class TestWalkStep:
     def test_identity_face_never_moves(self):

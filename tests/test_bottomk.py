@@ -300,6 +300,65 @@ class TestSecondOrderTails:
             assert -np.inf < lo[j] < hi[j] < 0.0
 
 
+def _loglog_tail_mpmath(x, q, far=1000):
+    """sum_{k >= q} k^-x log(k)^-2x in 30 digits: the first ``far`` terms one by one, the
+    rest by mpmath's Euler-Maclaurin summation with the integral taken in u = log k."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+
+        def g(k):
+            return k ** -x * mpmath.log(k) ** (-2 * x)
+
+        n = q + far
+        integral = mpmath.quad(lambda u: mpmath.exp((1 - x) * u) * u ** (-2 * x),
+                               [mpmath.log(n), mpmath.inf])
+        return (mpmath.fsum(g(mpmath.mpf(k)) for k in range(q, n))
+                + mpmath.sumem(g, [n, mpmath.inf], integral=integral))
+
+
+class TestEulerMaclaurinTails:
+    """The log families' Euler-Maclaurin brackets contain the sum and are tight, so the head
+    of the survival sum never has to grow past twice the largest label."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 33, 34, 100, 1000])
+    def test_log_bracket_contains_hurwitz_zeta(self, q):
+        from scipy.special import zeta
+
+        s = np.geomspace(1.01, 80.0, 80)
+        lo, hi = bottomk._exp_sum_tail(log_weights(1.0), q - 2, s)  # terms k >= q
+        truth = zeta(s, q)
+        slack = 4.0 * np.finfo(float).eps * truth  # scipy's own rounding
+        assert np.all(lo <= truth + slack) and np.all(truth <= hi + slack)
+        # the trapezoid/midpoint bracket alone is about s/(8q) wide; from q = 33 on, where
+        # the survival sum reads it, the Euler-Maclaurin bracket is at rounding level
+        if q >= 33:
+            small = s <= q / 4.0
+            assert np.all(hi[small] - lo[small] <= 1e-12 * truth[small])
+
+    @pytest.mark.parametrize("q", [33, 34, 4098])
+    @pytest.mark.parametrize("x", [1.0, 1.05, 1.5, 3.0])
+    def test_loglog_bracket_contains_mpmath_sum(self, x, q):
+        lo, hi = bottomk._exp_sum_tail(log_loglog_weights(), q - 2, np.array([x]))
+        truth = _loglog_tail_mpmath(x, q)
+        assert lo[0] <= truth <= hi[0]
+        assert hi[0] - lo[0] <= 1e-13 * truth
+
+    @pytest.mark.parametrize("factory,tol", [(lambda: log_weights(1.0), 1e-14),
+                                             (lambda: log_weights(2.0), 1e-14),
+                                             (log_loglog_weights, 1e-12)],
+                             ids=["log1", "log2", "log-loglog"])
+    @pytest.mark.parametrize("label", [1, 2, 3])
+    def test_head_never_doubles(self, factory, tol, label):
+        seq = factory()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DefectiveMassWarning)
+            assert 0.0 < limit_bottom_pmf(seq, (label,), tol=tol) < 1.0
+        # trapezoid and midpoint tails alone grew it to 2^21 weights for log label 1
+        assert seq._cache.size == max(bottomk._HEAD_START, 2 * label)
+
+
 class TheoremSeriesEvaluation:
     """f(x) = sum exp(-theta_i x) evaluated with certified truncation."""
 

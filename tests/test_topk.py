@@ -279,6 +279,12 @@ class TestPoissonLimitTheorem:
         with pytest.raises(PreconditionError):
             tv_poisson_approx(-0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nan_and_inf_lambda_rejected(self, lam):
+        # nan passed a plain lam < 0 check and returned nan; inf returned 1.0
+        with pytest.raises(PreconditionError, match="nonnegative and finite"):
+            tv_poisson_approx(lam)
+
     @pytest.mark.parametrize("k", [100, 142, 201])
     def test_uniform_large_n(self, k):
         n = 10_000
@@ -348,6 +354,15 @@ class TestDistanceReport:
             DistanceReport(
                 k=2, d_inf_exact=0.5, d_inf_bound=1.5, tv_exact=0.3,
                 collision_lambda=0.2, tv_poisson=0.18,
+            )
+
+    @pytest.mark.parametrize("lam", [-0.2, math.nan, math.inf])
+    def test_lambda_outside_range_rejected(self, lam):
+        # nan and inf passed a plain collision_lambda < 0 check
+        with pytest.raises(PreconditionError, match="collision_lambda"):
+            DistanceReport(
+                k=2, d_inf_exact=0.5, d_inf_bound=0.5, tv_exact=0.3,
+                collision_lambda=lam, tv_poisson=0.18,
             )
 
 
