@@ -21,7 +21,6 @@ moves (move-to-front, inverse riffle, coordinate flips, edge 2-coloring) are
 provided as prebuilt face weight tables.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -383,26 +382,41 @@ def enumerate_chambers(kind, dim):
 def chamber_index(chamber):
     """Index of a chamber in its ``enumerate_chambers`` listing."""
     if isinstance(chamber, SignVector):
-        return int(_chamber_keys("boolean", _check_chamber("boolean", chamber).to_array()))
+        return int(_bits(_check_chamber("boolean", chamber).to_array() > 0))
     return int(permutation_rank_many(_check_chamber("braid", chamber).mapping)[0])
 
 
-def _chamber_keys(kind, rows):
-    """Integer keys of chamber rows (last axis) that sort as the ``enumerate_chambers`` listing.
+def _bits(rows):
+    """Boolean rows (last axis) read as bits, first entry most significant, as int64.
 
-    Sign rows read as bits, so a key is the chamber's index; 0-based orders of
-    n labels read as base-n digits.
+    A sign row's +1 entries read so give its index in the listing.
     """
     d = rows.shape[-1]
-    digits, base = (rows > 0, 2) if kind == "boolean" else (rows, d)
-    return digits.astype(np.int64) @ base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return rows.astype(np.int64) @ (1 << np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
 def _chambers_array(kind, dim):
     if kind == "boolean":
         bits = ((np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1)
         return (2 * bits - 1).astype(np.int8)
-    return np.array(list(itertools.permutations(range(1, dim + 1))), dtype=np.int64)
+    return _braid_columns(dim).T + 1
+
+
+def _braid_columns(n):
+    """The lexicographic listing of the orders of 0..n-1, transposed: (n, n!) int64.
+
+    By prefix recursion: the orders of k labels are each first label in turn, followed
+    by the orders of 0..k-2 with every label from that first one on moved up by one.
+    """
+    cols = np.zeros((0, 1), dtype=np.int64)  # the one order of no labels
+    for k in range(1, n + 1):
+        grown = np.empty((k, k, cols.shape[1]), dtype=np.int64)  # [position, first, order]
+        grown[0] = np.arange(k)[:, None]
+        rest = grown[1:]
+        rest[:] = cols[:, None]
+        rest += rest >= grown[0]
+        cols = grown.reshape(k, -1)
+    return cols
 
 
 class _FaceKernel:
@@ -416,8 +430,13 @@ class _FaceKernel:
         self.nbytes = ranks.nbytes + table.weights.nbytes
 
     def __rmatmul__(self, pi):
-        return sum(np.bincount(row, w * pi, self.shape[0])
-                   for w, row in zip(self.table.weights, self.ranks))
+        # one face's sums at a time, added in face order
+        faces = zip(self.table.weights, self.ranks)
+        w, row = next(faces)
+        out = np.bincount(row, w * pi, self.shape[0])
+        for w, row in faces:
+            out += np.bincount(row, w * pi, self.shape[0])
+        return out
 
 
 def transition_matrix(table):
@@ -426,6 +445,11 @@ def transition_matrix(table):
     K holds one int32 row of projected chamber ranks per face and the table's weights, so
     ``pi @ K`` never builds the N x N matrix; ``K.nbytes`` counts both.  Raises
     ``PreconditionError`` before allocating when the ranks would exceed ``KERNEL_NNZ_MAX``.
+
+    The ranks come by arithmetic on indices, with no chamber projected: a boolean chamber's
+    index is its sign bits, so a face overwrites the bits it pins; a braid rank is the
+    Lehmer code of the projected order, summed over the chamber's positions from a table
+    per face (see ``_braid_ranks``).
     """
     _check_enum_size(table.kind, table.dim)
     n_ch = 1 << table.dim if table.kind == "boolean" else math.factorial(table.dim)
@@ -436,16 +460,52 @@ def transition_matrix(table):
             f"over the cap of {KERNEL_NNZ_MAX}")
     ranks = np.empty((table.m, n_ch), dtype=np.int32)
     ent = table.entries_matrix()
-    chambers = _chambers_array(table.kind, table.dim)
     if table.kind == "boolean":
-        project = kernels.project_signs
+        # chamber c projected onto face f: (c & ~pinned_f) | plus_f, all as sign bits
+        pinned = _bits(ent != 0).astype(np.int32)[:, None]
+        plus = _bits(ent > 0).astype(np.int32)[:, None]
+        np.bitwise_and(np.arange(n_ch, dtype=np.int32), ~pinned, out=ranks)
+        ranks |= plus
     else:
-        chambers = chambers - 1  # 0-based, as project_orders and _chamber_keys read them
-        project = kernels.project_orders
-    listed = _chamber_keys(table.kind, chambers)  # ascending: the chambers are in index order
-    for f in range(table.m):
-        ranks[f] = np.searchsorted(listed, _chamber_keys(table.kind, project(chambers, ent[f])))
+        _braid_ranks(ent, ranks)
     return _FaceKernel(table, ranks)
+
+
+def _braid_ranks(ent, ranks):
+    """Fill ``ranks[f, c]`` with the listing index of order c projected onto face f.
+
+    That index is the Lehmer code sum_s d_s (n-1-s)!, where d_s counts the labels after
+    slot s that are smaller than the one in it.  Read chamber c position by position: its
+    label x, of block k, lands in slot (labels of blocks before k) + (labels of k already
+    read), and is followed by the smaller labels of later blocks and the smaller labels of
+    k not yet read.  Both depend only on the face, x and the set S of labels read before
+    x, so each face is a table of 2^n x n terms indexed by (S, x), and a rank is the sum
+    of the n terms its chamber's positions pick out.
+    """
+    n = ent.shape[1]
+    cells = np.empty((n, ranks.shape[1]), dtype=np.int64)  # S * n + x at each position
+    read = np.zeros(ranks.shape[1], dtype=np.int64)  # S, as bits
+    for i, col in enumerate(_braid_columns(n)):
+        cells[i] = read * n + col
+        read |= 1 << col
+    sets = np.arange(1 << n)[:, None]
+    size = np.array([bin(s).count("1") for s in range(1 << n)])  # labels in each set
+    # (n-1-s)! by slot s; a slot of n only arises for an x in S, which no chamber reads
+    place = np.array([math.factorial(n - 1 - s) for s in range(n)] + [0], dtype=np.int64)
+    lab = np.arange(n)
+    bit = 1 << lab
+    smaller = lab[None, :] < lab[:, None]  # [x, y]: y < x
+    part = np.empty(ranks.shape[1], dtype=np.int32)
+    for ids, out in zip(ent, ranks):
+        block = ids[:, None] == ids[None, :]  # [x, y]: y shares x's block
+        ahead = (ids[None, :] < ids[:, None]).sum(axis=1)
+        after = ((ids[None, :] > ids[:, None]) & smaller).sum(axis=1)
+        slot = ahead + size[sets & (block @ bit)]
+        digit = after + size[~sets & ((block & smaller) @ bit)]
+        term = (digit * place[slot]).astype(np.int32).ravel()
+        np.take(term, cells[0], out=out)
+        for cell in cells[1:]:
+            out += np.take(term, cell, out=part)
 
 
 def _uncrossed_hyperplane(table):

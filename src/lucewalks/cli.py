@@ -40,9 +40,9 @@ import warnings
 import numpy as np
 
 from . import __version__, kernels
-from .arrangements import (ChamberChain, Permutation, SignVector,
+from .arrangements import (ChamberChain, Permutation, SignVector, _chambers_array,
                            brown_diaconis_sample_many, ehrenfest_face_weights,
-                           enumerate_chambers, graph_coloring_face_weights,
+                           graph_coloring_face_weights,
                            riffle_face_weights, stationary_exact, transition_matrix,
                            tsetlin_face_weights, walk_step)
 from .bottomk import SEQUENCE_FAMILIES, convergence_test, limit_bottom_pmf
@@ -315,6 +315,14 @@ def _chamber_text(kind, chamber):
     return doc if kind == "boolean" else ",".join(map(str, doc))
 
 
+def _listing_cells(kind, dim):
+    """The CSV cells of every chamber, in listing order, formatted from the listing rows."""
+    rows = _chambers_array(kind, dim)
+    if kind == "boolean":  # one byte per sign
+        return np.where(rows > 0, b"+", b"-").view(f"S{dim}")[:, 0].astype(str).tolist()
+    return [",".join(map(str, row)) for row in rows.tolist()]
+
+
 # the face-table flags each arrangement model reads; any other one given is refused
 _MODEL_FLAGS = {"tsetlin": ("weights", "n", "zipf_s", "normalize"), "riffle": ("dim",),
                 "ehrenfest": ("dim",), "coloring": ("graph",)}
@@ -382,7 +390,7 @@ def _cmd_arrangement(args, rng):
         k_mat = transition_matrix(table)
         pi = stationary_exact(k_mat, tol=args.tol)
         residual = float(np.abs(pi @ k_mat - pi).max())
-        cells = [_chamber_text(kind, ch) for ch in enumerate_chambers(kind, dim)]
+        cells = _listing_cells(kind, dim)
         if args.format == "json":
             _emit_json({"kind": kind, "stationary": [
                 {"chamber": c, "probability": p} for c, p in zip(cells, pi)]})

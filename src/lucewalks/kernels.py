@@ -4,6 +4,8 @@ The kernels are deliberately dumb about randomness: callers pass arrays of
 uniforms drawn from an RngStream, which keeps all stream handling in one
 place.  The exponential race sorts each clock's bits, packed with its label,
 in the result array; the face products build chambers forward, in draw order.
+The walk kernels that ``arrangements.transition_matrix`` builds need no
+projection here: it ranks projected chambers by index arithmetic.
 """
 
 import numpy as np
@@ -103,26 +105,6 @@ def weighted_order_many(weights, uniforms):
     if w.shape != (n,):
         raise ValueError("weights and uniforms disagree on n")
     return _race_order(w, u)
-
-
-# ---------------------------------------------------------------------------
-# face projections of chamber rows
-# ---------------------------------------------------------------------------
-
-def project_signs(chambers, faces):
-    """Project (k, d) sign rows onto one (d,) face or (k, d) faces: nonzero entries win."""
-    return np.where(faces != 0, faces, chambers)
-
-
-def project_orders(orders, block_ids):
-    """Project (k, n) 0-based orders onto one (n,) face or (k, n) faces of block ids.
-
-    Each row is stable-sorted by the block id of its labels, so labels
-    sharing a block keep their order.
-    """
-    key = np.take_along_axis(np.broadcast_to(block_ids, orders.shape), orders, axis=1)
-    srt = np.argsort(key, axis=1, kind="stable")
-    return np.take_along_axis(orders, srt, axis=1)
 
 
 # ---------------------------------------------------------------------------

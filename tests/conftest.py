@@ -1,3 +1,4 @@
+import itertools
 import os
 from pathlib import Path
 
@@ -76,12 +77,37 @@ def sequential_urn():
     return _sequential_urn
 
 
-def _reverse_chain(project, faces, orders, start):
+def _project_signs(chambers, faces):
+    """Project (k, d) sign rows onto one (d,) face or (k, d) faces: nonzero entries win."""
+    return np.where(faces != 0, faces, chambers)
+
+
+def _project_orders(orders, block_ids):
+    """Project (k, n) 0-based orders onto one (n,) face or (k, n) faces of block ids.
+
+    Each row is stable-sorted by the block id of its labels, so labels
+    sharing a block keep their order.
+    """
+    key = np.take_along_axis(np.broadcast_to(block_ids, orders.shape), orders, axis=1)
+    srt = np.argsort(key, axis=1, kind="stable")
+    return np.take_along_axis(orders, srt, axis=1)
+
+
+_PROJECT_ROWS = {"boolean": _project_signs, "braid": _project_orders}
+
+
+@pytest.fixture
+def project_rows():
+    """Row projections by kind: sign rows for ``"boolean"``, 0-based orders for ``"braid"``."""
+    return _PROJECT_ROWS
+
+
+def _reverse_chain(kind, faces, orders, start):
     """Project the row ``start`` onto each row's faces, last drawn first.
 
-    The face product F1 F2 ... Fm read literally: ``project`` is
-    ``kernels.project_signs`` or ``kernels.project_orders``.
+    The face product F1 F2 ... Fm read literally, with the row projection of ``kind``.
     """
+    project = _PROJECT_ROWS[kind]
     orders = np.asarray(orders, dtype=np.int64)
     out = np.repeat(start[None, :], orders.shape[0], axis=0)
     for t in range(orders.shape[1] - 1, -1, -1):
@@ -93,6 +119,39 @@ def _reverse_chain(project, faces, orders, start):
 def reverse_chain():
     """The reverse projection chain, the oracle for both face-product kernels."""
     return _reverse_chain
+
+
+def _chamber_keys(kind, rows):
+    """Integer keys of chamber rows (last axis) that sort as the ``enumerate_chambers`` listing.
+
+    Sign rows read as bits, so a key is the chamber's index; 0-based orders of
+    n labels read as base-n digits.
+    """
+    d = rows.shape[-1]
+    digits, base = (rows > 0, 2) if kind == "boolean" else (rows, d)
+    return digits.astype(np.int64) @ base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _projected_ranks(table):
+    """``transition_matrix(table).ranks`` by projecting every chamber onto every face.
+
+    The chambers are listed by ``itertools``, each projected row is keyed, and the keys
+    are searched for among the listing's, which ascend.
+    """
+    if table.kind == "boolean":
+        chambers = np.array(list(itertools.product((-1, 1), repeat=table.dim)), dtype=np.int8)
+    else:
+        chambers = np.array(list(itertools.permutations(range(table.dim))), dtype=np.int64)
+    project = _PROJECT_ROWS[table.kind]
+    listed = _chamber_keys(table.kind, chambers)
+    return np.array([np.searchsorted(listed, _chamber_keys(table.kind, project(chambers, face)))
+                     for face in table.entries_matrix()], dtype=np.int32)
+
+
+@pytest.fixture
+def projected_ranks():
+    """Face ranks by projection, key and search, the oracle for ``transition_matrix``'s ranks."""
+    return _projected_ranks
 
 
 def _dense_kernel(table):

@@ -381,13 +381,62 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("table", [riffle_face_weights(7),
                                        tsetlin_face_weights(normalize(np.arange(1.0, 9.0)))],
                              ids=["riffle7", "tsetlin8"])
-    def test_ranks_are_lehmer_ranks(self, table):
-        # the searched keys rank each projected listing as the Lehmer code does
+    def test_ranks_are_lehmer_ranks(self, table, project_rows):
+        # the rank of each projected listing is its Lehmer code
         listed = np.array([c.mapping for c in enumerate_chambers("braid", table.dim)]) - 1
         ranks = transition_matrix(table).ranks
         for f, face in enumerate(table.entries_matrix()):
-            want = permutation_rank_many(kernels.project_orders(listed, face) + 1)
+            want = permutation_rank_many(project_rows["braid"](listed, face) + 1)
             np.testing.assert_array_equal(ranks[f], want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: tsetlin_face_weights(normalize(np.arange(1.0, 9.0))),
+        lambda: riffle_face_weights(7),
+        lambda: ehrenfest_face_weights(arrangements.BOOLEAN_ENUM_MAX),
+        lambda: graph_coloring_face_weights([(i, i % 12 + 1) for i in range(1, 13)]),
+    ], ids=["tsetlin8", "riffle7", "ehrenfest15", "coloring-cycle12"])
+    def test_ranks_match_projection_oracle(self, make, projected_ranks):
+        table = make()
+        ranks = transition_matrix(table).ranks
+        assert ranks.dtype == np.int32
+        np.testing.assert_array_equal(ranks, projected_ranks(table))
+
+    @pytest.mark.parametrize("n", range(1, arrangements.BRAID_ENUM_MAX + 1))
+    def test_random_braid_ranks_match_projection_oracle(self, n, np_rng, projected_ranks):
+        # one face of each block count 1..n, its labels split at random, and one
+        # zero-weight face, which the table drops
+        faces = []
+        for blocks in range(1, n + 1):
+            cuts = np.sort(np_rng.choice(np.arange(1, n), size=blocks - 1, replace=False))
+            faces.append(BlockOrderedSetPartition(np.split(np_rng.permutation(n) + 1, cuts)))
+        faces = list(dict.fromkeys(faces))
+        weights = np_rng.uniform(0.5, 2.0, len(faces))
+        weights[np_rng.integers(len(faces))] = 0.0
+        if not weights.any():
+            weights[0] = 1.0
+        pairs = list(zip(faces, weights / weights.sum()))
+        table = FaceWeightTable("braid", n, pairs)
+        assert table.m == np.count_nonzero(weights)
+        np.testing.assert_array_equal(transition_matrix(table).ranks, projected_ranks(table))
+
+    @pytest.mark.parametrize("n", range(1, arrangements.BRAID_ENUM_MAX + 1))
+    def test_braid_listing_is_itertools_listing(self, n):
+        want = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+        got = arrangements._chambers_array("braid", n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [lambda: tsetlin_face_weights(normalize(np.arange(1.0, 8.0))),
+                                      lambda: graph_coloring_face_weights(CYCLE7)],
+                             ids=["tsetlin7", "cycle7"])
+    def test_matvec_sums_faces_in_order_to_the_bit(self, make, np_rng):
+        # each face's bincount, added in face order from 0: the sum() of the bincounts
+        k = transition_matrix(make())
+        for _ in range(5):
+            pi = np_rng.standard_normal(k.shape[0]) * np_rng.choice([1e-300, 1.0, 1e300])
+            want = sum(np.bincount(row, w * pi, k.shape[0])
+                       for w, row in zip(k.table.weights, k.ranks))
+            assert (pi @ k).tobytes() == want.tobytes()
 
 
 class TestIsSeparating:
@@ -728,12 +777,10 @@ class TestUrnSamplerTheorem:
         for _ in range(3):
             if table.kind == "boolean":
                 start = np_rng.choice(np.array([-1, 1], dtype=np.int8), size=table.dim)
-                got = reverse_chain(kernels.project_signs, table.entries_matrix(), orders,
-                                    start)
+                got = reverse_chain("boolean", table.entries_matrix(), orders, start)
             else:
                 start = np_rng.permutation(table.dim)
-                got = reverse_chain(kernels.project_orders, table.entries_matrix(), orders,
-                                    start) + 1
+                got = reverse_chain("braid", table.entries_matrix(), orders, start) + 1
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [3, 8, 30, 200])

@@ -143,8 +143,7 @@ class TestApplyReverseOracle:
 
 @pytest.fixture
 def reverse_chain_from_identity(reverse_chain):
-    return lambda ids, orders: reverse_chain(kernels.project_orders, ids, orders,
-                                             np.arange(ids.shape[1]))
+    return lambda ids, orders: reverse_chain("braid", ids, orders, np.arange(ids.shape[1]))
 
 
 def tied_braid_case(gen, m, n, size):
@@ -211,7 +210,7 @@ class TestForwardBraidProduct:
 
 @pytest.fixture
 def boolean_chain(reverse_chain):
-    return lambda entries, orders: reverse_chain(kernels.project_signs, entries, orders,
+    return lambda entries, orders: reverse_chain("boolean", entries, orders,
                                                  np.ones(entries.shape[1], dtype=np.int8))
 
 
